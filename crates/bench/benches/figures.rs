@@ -2,7 +2,7 @@
 //!
 //! Figure benchmarks run against a pre-warmed [`SimEngine`], so they
 //! measure the cost of regenerating a figure when its simulations are
-//! already cached (the steady-state cost inside `all_experiments`). The
+//! already cached (the steady-state cost inside `confluence all`). The
 //! `engine` group contrasts that warm path with the cold path — a fresh
 //! engine that must actually execute the simulations — which is the
 //! headline win of the memoizing engine.

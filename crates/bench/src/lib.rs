@@ -3,8 +3,8 @@
 //! The benchmarks live in `benches/`:
 //!
 //! - `figures` — one benchmark per paper table/figure, running the
-//!   experiment pipelines at reduced scale (the figure *binaries* in
-//!   `confluence-sim` run them at full scale);
+//!   experiment pipelines at reduced scale (the `confluence` binary's
+//!   figure subcommands run them at full scale);
 //! - `micro` — throughput microbenchmarks of the core structures (AirBTB,
 //!   SHIFT engine, trace executor, direction predictor, caches).
 

@@ -14,7 +14,7 @@
 //! engine's whole memo hierarchy. Probes that coincide with sweep or
 //! figure points are cache hits; a search over a warm persistent store
 //! executes **zero** simulations; `--connect` routes every batch to a
-//! `confluence-serve` daemon unchanged. Strategies are seeded and
+//! `confluence serve` daemon unchanged. Strategies are seeded and
 //! deterministic, so a fixed seed yields an identical visited-point
 //! sequence — which is what the committed search goldens pin.
 //!

@@ -18,7 +18,7 @@
 //!   job schema out of band (the `Hello` handshake pins schema version
 //!   and workload-config fingerprint), which keeps this crate free of
 //!   any simulator dependency — and the dependency DAG acyclic, since
-//!   `confluence_sim` links the client side into the figure binaries.
+//!   `confluence_sim` links the client side into the `confluence` binary.
 //! - [`server`] — the accept loop and per-connection protocol driver,
 //!   generic over a [`BatchHost`]: the engine-owning side implements
 //!   five methods (validate a handshake, cost-rank a job, run a job,
@@ -27,9 +27,9 @@
 //! - [`client`] — the blocking client: handshake, submit a batch,
 //!   collect streamed results into submission order.
 //!
-//! The engine-facing [`BatchHost`] implementation and the
-//! `confluence-serve` binary live in `confluence_sim` (`daemon` module),
-//! which owns the job codec and the engine.
+//! The engine-facing [`BatchHost`] implementation lives in
+//! `confluence_sim` (`daemon` module), which owns the job codec and the
+//! engine; `confluence serve` mounts it.
 
 #![warn(missing_docs)]
 #![deny(unsafe_code)]

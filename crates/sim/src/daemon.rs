@@ -1,7 +1,7 @@
 //! The engine-facing halves of the experiment daemon: the
-//! [`BatchHost`] implementation the `confluence-serve` binary mounts a
+//! [`BatchHost`] implementation `confluence serve` mounts a
 //! [`SimEngine`] behind, and the client helper the `--connect` mode of
-//! the figure binaries submits batches through.
+//! the engine subcommands submits batches through.
 //!
 //! `confluence_serve` deliberately knows nothing about simulation — job
 //! payloads are opaque bytes at its layer. This module is where the
@@ -43,7 +43,7 @@ pub struct EngineSnapshot {
 
 impl EngineHost {
     /// Mounts `engine` as a batch host. `store_cap` (from
-    /// `--store-cap-bytes` / `CONFLUENCE_STORE_CAP`) is applied to the
+    /// `--store-cap-bytes`) is applied to the
     /// engine's store after every batch, so a long-running daemon keeps
     /// its disk footprint bounded without ever evicting mid-batch.
     pub fn new(engine: SimEngine, store_cap: Option<u64>) -> Self {

@@ -10,7 +10,7 @@
 //!
 //! Formatters fetch through the engine, so calling one directly still
 //! works — missing jobs are computed on demand — but batching the jobs
-//! first (`engine.run(&all_jobs(..))`, as the `all_experiments` binary
+//! first (`engine.run(&all_jobs(..))`, as `confluence all`
 //! does) executes everything on the worker pool with each unique
 //! simulation run exactly once across all figures: the 1K-baseline
 //! coverage run is shared by Figures 8/9/10 and the L1-I table, and the
@@ -41,7 +41,7 @@ pub struct ExperimentConfig {
 }
 
 impl ExperimentConfig {
-    /// Full-size configuration (used by the figure binaries).
+    /// Full-size configuration (the default of the `confluence` binary).
     pub fn full() -> Self {
         ExperimentConfig { quick: false }
     }
@@ -713,7 +713,7 @@ pub fn unique_jobs(jobs: &[Job]) -> usize {
 }
 
 /// Every report of the full suite, in the presentation order the
-/// `all_experiments` binary prints. Batch [`all_jobs`] through the engine
+/// `confluence all` prints. Batch [`all_jobs`] through the engine
 /// first so the formatters here read a warm cache; the warm-store
 /// determinism test renders this twice (fresh engine, same store) and
 /// asserts byte-identical output with zero executions.

@@ -3,7 +3,6 @@
 
 #![warn(missing_docs)]
 
-pub mod cli;
 mod cmp;
 pub mod codec;
 mod coverage;

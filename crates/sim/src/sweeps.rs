@@ -15,8 +15,8 @@
 //!
 //! Studies follow the same two-pure-halves shape as the figures in
 //! [`crate::experiments`]: [`SweepSpec::jobs`] declares, and
-//! [`SweepSpec::report`] formats from the warm cache. The `sweeps` binary
-//! lists and runs studies from [`registry`]; `all_experiments` batches
+//! [`SweepSpec::report`] formats from the warm cache. `confluence sweeps`
+//! lists and runs studies from [`registry`]; `confluence all` batches
 //! every study alongside the figures.
 //!
 //! Adding a study: push a `SweepSpec` in [`registry`] (new axis variants
@@ -466,7 +466,7 @@ pub fn find(name: &str) -> Option<SweepSpec> {
     registry().into_iter().find(|s| s.name == name)
 }
 
-/// Every study's jobs in one batch (what `all_experiments` appends to the
+/// Every study's jobs in one batch (what `confluence all` appends to the
 /// figure suite).
 pub fn all_sweep_jobs(engine: &SimEngine, cfg: &ExperimentConfig) -> Vec<Job> {
     registry()

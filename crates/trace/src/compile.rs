@@ -53,9 +53,9 @@ pub const NO_FASTPATH_ENV: &str = "CONFLUENCE_NO_FASTPATH";
 /// Environment variable overriding the request-path memo budget: a total
 /// step count (the per-request cap keeps the default 8:1 ratio). Unset or
 /// empty keeps [`MemoCaps::DEFAULT`]; a malformed value is a typed
-/// [`MemoCapError`] from [`MemoCaps::try_from_env`] — the binaries
-/// validate at startup and exit 2, exactly like a malformed
-/// `CONFLUENCE_STORE_CAP`.
+/// [`MemoCapError`] from [`MemoCaps::try_from_env`] — the `confluence`
+/// binary validates it at startup and exits 2, exactly like a malformed
+/// `--store-cap-bytes`.
 pub const MEMO_CAP_ENV: &str = "CONFLUENCE_MEMO_CAP";
 
 /// A malformed [`MEMO_CAP_ENV`] value, carrying the rejected text.
@@ -118,7 +118,8 @@ impl MemoCaps {
     /// The caps [`MEMO_CAP_ENV`] asks for, as a typed result — the
     /// library-path half of cap-env handling. Unset or empty is the
     /// default budget; malformed is an error the caller decides about
-    /// (the binaries validate in `parse_common` and exit 2).
+    /// (the `confluence` binary validates before building an engine and
+    /// exits 2).
     pub fn try_from_env() -> Result<MemoCaps, MemoCapError> {
         match std::env::var(MEMO_CAP_ENV) {
             Ok(v) if !v.is_empty() => MemoCaps::validate(&v),
@@ -130,9 +131,9 @@ impl MemoCaps {
     ///
     /// This sits deep in the execution path where no `Result` can
     /// propagate, so a malformed value falls back to the default budget
-    /// with a warning — binaries never get here with one, because
-    /// `parse_common` calls [`MemoCaps::try_from_env`] at startup and
-    /// exits 2 first; the fallback only fires for embedders that skipped
+    /// with a warning — the `confluence` binary never gets here with one,
+    /// because it calls [`MemoCaps::try_from_env`] at startup and exits 2
+    /// first; the fallback only fires for embedders that skipped
     /// that validation.
     pub fn from_env() -> MemoCaps {
         static CAPS: OnceLock<MemoCaps> = OnceLock::new();

@@ -241,7 +241,7 @@ impl Drop for StoreDir {
     }
 }
 
-/// The `all_experiments` warm-run guarantee, at the library level: a
+/// The `confluence all` warm-run guarantee, at the library level: a
 /// second full-suite run against the same store directory simulates
 /// nothing (`executed == 0`, every unique job a disk hit) and renders
 /// byte-identical reports in every output format.
