@@ -255,7 +255,14 @@ fn serve_loop<H: BatchHost>(
                 stream.set_nonblocking(false)?;
                 let host = Arc::clone(&host);
                 let handle = thread::spawn(move || handle_connection(stream, &*host));
-                conns.lock().unwrap().push(handle);
+                let mut conns = conns.lock().unwrap();
+                // Reap finished connection threads, so a long-running
+                // daemon holds one handle per live connection rather than
+                // one per connection it has ever served.
+                for done in conns.extract_if(.., |c| c.is_finished()) {
+                    let _ = done.join();
+                }
+                conns.push(handle);
             }
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
                 thread::sleep(ACCEPT_POLL);
@@ -489,5 +496,60 @@ mod tests {
         let stats = BatchStats::default();
         assert_eq!(stats.requests, 0);
         assert!(stats.store.is_none());
+    }
+
+    /// A host that accepts every handshake and never sees a batch.
+    struct IdleHost;
+
+    impl BatchHost for IdleHost {
+        type Snapshot = ();
+        fn schema(&self) -> u32 {
+            1
+        }
+        fn validate_hello(&self, _: u32, _: u64) -> Result<(), Rejection> {
+            Ok(())
+        }
+        fn threads(&self) -> usize {
+            1
+        }
+        fn cost_hint(&self, _: &[u8]) -> u64 {
+            0
+        }
+        fn run_job(&self, _: &[u8]) -> Result<Vec<u8>, Rejection> {
+            Ok(Vec::new())
+        }
+        fn snapshot(&self) {}
+        fn finish_batch(&self, _: ()) -> BatchStats {
+            BatchStats::default()
+        }
+    }
+
+    /// Connections that have closed are joined at the next accept: after
+    /// many sequential clients the server holds at most the last two
+    /// handles (the newest, and one whose push raced the wait below), not
+    /// one per client served.
+    #[test]
+    fn finished_connection_threads_are_reaped_on_accept() {
+        let path =
+            std::env::temp_dir().join(format!("confluence-reap-{}.sock", std::process::id()));
+        let handle = Server::bind(&path, Arc::new(IdleHost)).unwrap().spawn();
+        for _ in 0..20 {
+            drop(crate::Client::connect(&path, 1, 0).expect("handshake"));
+            // Every thread the server holds exits before the next accept.
+            let deadline = std::time::Instant::now() + Duration::from_secs(5);
+            while !handle.conns.lock().unwrap().iter().all(|c| c.is_finished()) {
+                assert!(
+                    std::time::Instant::now() < deadline,
+                    "connection thread hung"
+                );
+                thread::sleep(Duration::from_millis(1));
+            }
+        }
+        let held = handle.conns.lock().unwrap().len();
+        assert!(
+            held <= 2,
+            "{held} connection handles held after 20 closed clients"
+        );
+        handle.stop().unwrap();
     }
 }

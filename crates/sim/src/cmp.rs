@@ -7,7 +7,7 @@
 //! concurrently across *core shards* against the immutable shared state,
 //! and each cycle ends with a serial fixed-core-order commit of every
 //! deferred LLC fill. Results are byte-identical at any shard count —
-//! [`simulate_cmp_with_shards`] with 1, 2, or 16 threads produces the
+//! [`simulate_cmp_with_shards_mode`] with 1, 2, or 16 threads produces the
 //! same [`TimingResult`], asserted by the tick-equivalence tests.
 
 use std::ops::Range;
@@ -133,10 +133,10 @@ impl TimingResult {
 }
 
 /// Runs one design point on one workload program over a CMP, stepping
-/// all cores in one thread. Equivalent to
-/// [`simulate_cmp_with_shards`]`(.., 1)`.
+/// all cores in one thread on the compiled fast path. Equivalent to
+/// [`simulate_cmp_with_shards_mode`]`(.., 1, ExecMode::Compiled)`.
 pub fn simulate_cmp(program: &Program, design: DesignPoint, cfg: &TimingConfig) -> TimingResult {
-    simulate_cmp_with_shards(program, design, cfg, 1)
+    simulate_cmp_with_shards_mode(program, design, cfg, 1, ExecMode::Compiled)
 }
 
 /// Runs one design point on one workload program over a CMP, stepping
@@ -158,21 +158,11 @@ pub fn simulate_cmp(program: &Program, design: DesignPoint, cfg: &TimingConfig) 
 ///
 /// Panics if a core fails to finish within a generous cycle guard —
 /// indicating a pipeline deadlock bug, which should never occur.
-pub fn simulate_cmp_with_shards(
-    program: &Program,
-    design: DesignPoint,
-    cfg: &TimingConfig,
-    shard_threads: usize,
-) -> TimingResult {
-    simulate_cmp_with_shards_mode(program, design, cfg, shard_threads, ExecMode::from_env())
-}
-
-/// [`simulate_cmp_with_shards`] through an explicit execution path.
 ///
-/// Results are byte-identical across [`ExecMode`]s (the compiled stream
-/// matches the reference executor record for record), so the mode is *not*
-/// part of any cache key — it only changes wall-clock time, like the shard
-/// count.
+/// Results are also byte-identical across [`ExecMode`]s (the compiled
+/// stream matches the reference executor record for record), so `mode` is
+/// *not* part of any cache key — it only changes wall-clock time, like the
+/// shard count.
 pub fn simulate_cmp_with_shards_mode(
     program: &Program,
     design: DesignPoint,
@@ -514,9 +504,10 @@ mod tests {
             ..TimingConfig::default()
         };
         for design in [DesignPoint::Confluence, DesignPoint::Baseline] {
-            let serial = simulate_cmp_with_shards(&p, design, &cfg, 1);
+            let serial = simulate_cmp_with_shards_mode(&p, design, &cfg, 1, ExecMode::Compiled);
             for shards in [2, 3, 16] {
-                let sharded = simulate_cmp_with_shards(&p, design, &cfg, shards);
+                let sharded =
+                    simulate_cmp_with_shards_mode(&p, design, &cfg, shards, ExecMode::Compiled);
                 assert_eq!(
                     serial, sharded,
                     "{design:?} diverged at {shards} shard threads"
@@ -543,7 +534,7 @@ mod tests {
             },
             ..TimingConfig::default()
         };
-        simulate_cmp_with_shards(&p, DesignPoint::Baseline, &cfg, 2);
+        simulate_cmp_with_shards_mode(&p, DesignPoint::Baseline, &cfg, 2, ExecMode::Compiled);
     }
 
     #[test]

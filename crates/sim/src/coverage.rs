@@ -191,14 +191,13 @@ pub fn run_coverage(
     btb: &mut dyn BtbDesign,
     opts: &CoverageOptions,
 ) -> CoverageResult {
-    run_coverage_mode(program, btb, opts, ExecMode::from_env())
+    run_coverage_mode(program, btb, opts, ExecMode::Compiled)
 }
 
 /// [`run_coverage`] through an explicit execution path.
 ///
-/// The default entry point resolves the path from the environment; this
-/// variant lets the experiment engine (and the equivalence harness) pin it
-/// in-process.
+/// The default entry point runs the compiled fast path; this variant lets
+/// the experiment engine (and the equivalence harness) pick the path.
 pub fn run_coverage_mode(
     program: &Program,
     btb: &mut dyn BtbDesign,
@@ -286,36 +285,11 @@ pub fn run_coverage_mode(
     result
 }
 
-/// Runs the functional harness with a freshly built BTB.
-///
-/// This is the `Send`-friendly entry point used by the experiment engine:
-/// instead of threading externally owned `&mut dyn BtbDesign` state through
-/// the call, the job supplies a factory and the whole simulation is
-/// self-contained — exactly what makes job-level parallelism safe.
-pub fn run_coverage_with(
-    program: &Program,
-    make_btb: impl FnOnce() -> Box<dyn BtbDesign>,
-    opts: &CoverageOptions,
-) -> CoverageResult {
-    run_coverage_with_mode(program, make_btb, opts, ExecMode::from_env())
-}
-
-/// [`run_coverage_with`] through an explicit execution path.
-pub fn run_coverage_with_mode(
-    program: &Program,
-    make_btb: impl FnOnce() -> Box<dyn BtbDesign>,
-    opts: &CoverageOptions,
-    mode: ExecMode,
-) -> CoverageResult {
-    let mut btb = make_btb();
-    run_coverage_mode(program, &mut *btb, opts, mode)
-}
-
 /// Table 2's branch-density characterization: mean static branches per
 /// demand-fetched block, and mean distinct taken branches executed during a
 /// block's L1-I residency ("dynamic").
 pub fn branch_density(program: &Program, instrs: u64, seed: u64) -> (f64, f64) {
-    branch_density_mode(program, instrs, seed, ExecMode::from_env())
+    branch_density_mode(program, instrs, seed, ExecMode::Compiled)
 }
 
 /// [`branch_density`] through an explicit execution path.

@@ -16,7 +16,7 @@
 //! Scheduling is **cost-aware**: batches start their most expensive jobs
 //! first ([`Job::cost_hint`] — CMP timing runs dwarf everything else),
 //! and a timing run that begins while pool slots sit idle borrows them
-//! as core shards (`crate::cmp::simulate_cmp_with_shards`), so a thin
+//! as core shards (`crate::cmp::simulate_cmp_with_shards_mode`), so a thin
 //! batch or a batch's tail parallelizes *inside* the job instead of
 //! leaving workers parked. Lending never changes results — the two-phase
 //! tick is byte-identical at any shard count.
@@ -41,21 +41,9 @@ use confluence_trace::{ExecMode, MemoStats, MemoTable, Program, Workload};
 
 use crate::cmp::{simulate_cmp_with_shards_mode, TimingResult};
 use crate::codec::{output_matches, workloads_fingerprint, ArtifactKey, StoreKey};
-use crate::coverage::{branch_density_mode, run_coverage_with_mode, CoverageResult};
+use crate::coverage::{branch_density_mode, run_coverage_mode, CoverageResult};
 use crate::job::{CoverageJob, DensityJob, Job, JobOutput, TimingJob};
 use crate::peers::PeerSet;
-
-/// Environment variable that disables the persistent warm-artifact tier
-/// when set to a non-empty value other than `0` (the
-/// `--no-warm-artifacts` CLI flag sets the same thing explicitly).
-/// Results never depend on it — artifacts only replay paths the executor
-/// would re-derive bit-identically.
-pub const NO_WARM_ARTIFACTS_ENV: &str = "CONFLUENCE_NO_WARM_ARTIFACTS";
-
-/// Resolves the warm-artifact default from [`NO_WARM_ARTIFACTS_ENV`].
-fn warm_artifacts_from_env() -> bool {
-    !matches!(std::env::var_os(NO_WARM_ARTIFACTS_ENV), Some(v) if !v.is_empty() && v != *"0")
-}
 
 /// Snapshot of the engine's cache accounting.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -167,10 +155,10 @@ impl SimEngine {
         SimEngine {
             workloads,
             threads,
-            mode: ExecMode::from_env(),
+            mode: ExecMode::Compiled,
             cache: Mutex::new(HashMap::new()),
             store: None,
-            warm_artifacts: warm_artifacts_from_env(),
+            warm_artifacts: true,
             warm_loaded: Mutex::new(HashSet::new()),
             warm_imports: AtomicU64::new(0),
             peers: None,
@@ -193,9 +181,9 @@ impl SimEngine {
         self
     }
 
-    /// Overrides the record-stream execution path (the default is
-    /// resolved from `CONFLUENCE_NO_FASTPATH`). Results do not depend on
-    /// the mode, only wall-clock time does.
+    /// Overrides the record-stream execution path (the default is the
+    /// compiled fast path). Results do not depend on the mode, only
+    /// wall-clock time does.
     pub fn with_exec_mode(mut self, mode: ExecMode) -> Self {
         self.mode = mode;
         self
@@ -234,10 +222,10 @@ impl SimEngine {
         self.peers.as_ref()
     }
 
-    /// Overrides whether the store's warm-artifact tier is used (the
-    /// default is resolved from [`NO_WARM_ARTIFACTS_ENV`]). Like the exec
-    /// mode, this only moves wall-clock time: artifacts replay paths the
-    /// executors would otherwise re-record, bit for bit.
+    /// Overrides whether the store's warm-artifact tier is used (on by
+    /// default). Like the exec mode, this only moves wall-clock time:
+    /// artifacts replay paths the executors would otherwise re-record,
+    /// bit for bit.
     pub fn with_warm_artifacts(mut self, on: bool) -> Self {
         self.warm_artifacts = on;
         self
@@ -700,12 +688,8 @@ impl SimEngine {
         match job {
             Job::Coverage(c) => {
                 let program = self.program(c.workload);
-                JobOutput::Coverage(run_coverage_with_mode(
-                    program,
-                    || c.btb.build(program),
-                    &c.opts,
-                    self.mode,
-                ))
+                let mut btb = c.btb.build(program);
+                JobOutput::Coverage(run_coverage_mode(program, &mut *btb, &c.opts, self.mode))
             }
             Job::Timing(t) => {
                 let program = self.program(t.workload);

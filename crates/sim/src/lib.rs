@@ -16,15 +16,12 @@ pub mod report;
 pub mod sweeps;
 mod timing;
 
-pub use cmp::{
-    simulate_cmp, simulate_cmp_with_shards, simulate_cmp_with_shards_mode, TimingConfig,
-    TimingResult,
-};
+pub use cmp::{simulate_cmp, simulate_cmp_with_shards_mode, TimingConfig, TimingResult};
 pub use codec::SCHEMA_VERSION;
-pub use confluence_trace::{ExecMode, NO_FASTPATH_ENV};
+pub use confluence_trace::ExecMode;
 pub use coverage::{
-    branch_density, branch_density_mode, run_coverage, run_coverage_mode, run_coverage_with,
-    run_coverage_with_mode, CoverageOptions, CoverageResult, DEFAULT_L1I_KB,
+    branch_density, branch_density_mode, run_coverage, run_coverage_mode, CoverageOptions,
+    CoverageResult, DEFAULT_L1I_KB,
 };
 pub use designs::{airbtb_ablation, DesignPoint, PrefetchScheme};
 pub use engine::{EngineStats, SimEngine};

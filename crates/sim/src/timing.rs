@@ -656,7 +656,7 @@ mod tests {
     }
 
     fn run_on(program: &Program, design: DesignPoint, instrs: u64) -> CoreStats {
-        run_on_mode(program, design, instrs, ExecMode::from_env())
+        run_on_mode(program, design, instrs, ExecMode::Compiled)
     }
 
     fn run_on_mode(

@@ -33,11 +33,11 @@
 //! shared, see `exec::mix`/`exec::site_unit`), so the two paths are
 //! bit-identical record for record — asserted by the tests below and the
 //! `tests/fastpath.rs` harness. The reference path stays selectable via
-//! [`NO_FASTPATH_ENV`] / `--no-fastpath` as the escape hatch and
-//! equivalence oracle.
+//! [`ExecMode::Reference`] (the `--no-fastpath` flag) as the escape hatch
+//! and equivalence oracle.
 
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 
 use confluence_store::{wire, Decode, Encode, Reader, WireError};
 use confluence_types::{BranchKind, DetRng, TraceRecord, VAddr, INSTR_BYTES, VADDR_BITS};
@@ -45,106 +45,13 @@ use confluence_types::{BranchKind, DetRng, TraceRecord, VAddr, INSTR_BYTES, VADD
 use crate::exec::{mix, site_unit, Executor, STACK_GUARD};
 use crate::program::{Program, Term};
 
-/// Environment variable that disables the compiled fast path when set to a
-/// non-empty value other than `0` (the `--no-fastpath` CLI flag sets the
-/// same mode explicitly).
-pub const NO_FASTPATH_ENV: &str = "CONFLUENCE_NO_FASTPATH";
+/// Total [`ReplayStep`] arena budget of the request-path memo: executors
+/// stop recording new paths once their arena (warm snapshot included)
+/// reaches it.
+const MEMO_STEPS: usize = 1 << 16;
 
-/// Environment variable overriding the request-path memo budget: a total
-/// step count (the per-request cap keeps the default 8:1 ratio). Unset or
-/// empty keeps [`MemoCaps::DEFAULT`]; a malformed value is a typed
-/// [`MemoCapError`] from [`MemoCaps::try_from_env`] — the `confluence`
-/// binary validates it at startup and exits 2, exactly like a malformed
-/// `--store-cap-bytes`.
-pub const MEMO_CAP_ENV: &str = "CONFLUENCE_MEMO_CAP";
-
-/// A malformed [`MEMO_CAP_ENV`] value, carrying the rejected text.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct MemoCapError {
-    /// The value that failed to parse as a step budget.
-    pub value: String,
-}
-
-impl std::fmt::Display for MemoCapError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "{MEMO_CAP_ENV} requires a positive step count of at most 2^30, got '{}'",
-            self.value
-        )
-    }
-}
-
-impl std::error::Error for MemoCapError {}
-
-/// Budgets of the request-path memo (see [`CompiledExecutor`]).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct MemoCaps {
-    /// Total [`ReplayStep`] arena budget: executors stop recording new
-    /// paths once their arena (warm snapshot included) reaches this.
-    pub steps: usize,
-    /// Longest single request control path worth memoizing.
-    pub request_steps: usize,
-}
-
-impl MemoCaps {
-    /// The hard-coded pre-[`MEMO_CAP_ENV`] values: 64K steps total, 8K
-    /// steps per request.
-    pub const DEFAULT: MemoCaps = MemoCaps {
-        steps: 1 << 16,
-        request_steps: 1 << 13,
-    };
-
-    /// Parses a [`MEMO_CAP_ENV`] value: a positive decimal step budget
-    /// (at most 2^30; the per-request cap scales at 8:1, minimum 1).
-    pub fn parse(value: &str) -> Option<MemoCaps> {
-        let steps: usize = value.trim().parse().ok()?;
-        if steps == 0 || steps > (1 << 30) {
-            return None;
-        }
-        Some(MemoCaps {
-            steps,
-            request_steps: (steps / 8).max(1),
-        })
-    }
-
-    /// [`MemoCaps::parse`] with a typed rejection instead of `None`.
-    pub fn validate(value: &str) -> Result<MemoCaps, MemoCapError> {
-        MemoCaps::parse(value).ok_or_else(|| MemoCapError {
-            value: value.to_string(),
-        })
-    }
-
-    /// The caps [`MEMO_CAP_ENV`] asks for, as a typed result — the
-    /// library-path half of cap-env handling. Unset or empty is the
-    /// default budget; malformed is an error the caller decides about
-    /// (the `confluence` binary validates before building an engine and
-    /// exits 2).
-    pub fn try_from_env() -> Result<MemoCaps, MemoCapError> {
-        match std::env::var(MEMO_CAP_ENV) {
-            Ok(v) if !v.is_empty() => MemoCaps::validate(&v),
-            _ => Ok(MemoCaps::DEFAULT),
-        }
-    }
-
-    /// The caps resolved from [`MEMO_CAP_ENV`], computed once per process.
-    ///
-    /// This sits deep in the execution path where no `Result` can
-    /// propagate, so a malformed value falls back to the default budget
-    /// with a warning — the `confluence` binary never gets here with one,
-    /// because it calls [`MemoCaps::try_from_env`] at startup and exits 2
-    /// first; the fallback only fires for embedders that skipped
-    /// that validation.
-    pub fn from_env() -> MemoCaps {
-        static CAPS: OnceLock<MemoCaps> = OnceLock::new();
-        *CAPS.get_or_init(|| {
-            MemoCaps::try_from_env().unwrap_or_else(|e| {
-                eprintln!("warning: {e}; keeping the default memo budget");
-                MemoCaps::DEFAULT
-            })
-        })
-    }
-}
+/// Longest single request control path worth memoizing.
+const MEMO_REQUEST_STEPS: usize = 1 << 13;
 
 /// Which record-stream implementation a simulation uses.
 ///
@@ -157,16 +64,6 @@ pub enum ExecMode {
     Compiled,
     /// Step the reference [`Executor`] over the structured program.
     Reference,
-}
-
-impl ExecMode {
-    /// Resolves the mode from [`NO_FASTPATH_ENV`].
-    pub fn from_env() -> ExecMode {
-        match std::env::var_os(NO_FASTPATH_ENV) {
-            Some(v) if !v.is_empty() && v != *"0" => ExecMode::Reference,
-            _ => ExecMode::Compiled,
-        }
-    }
 }
 
 /// Dense terminator opcode; the enum-of-structs [`Term`] flattened to one
@@ -714,17 +611,16 @@ impl CompiledProgram {
         }
         // A genuine export is bounded by the recording caps: each entry is
         // one request's path (request-cap bound), and the bank as a whole
-        // grows at most `caps.steps` per flavor (one executor per simulated
+        // grows at most `MEMO_STEPS` per flavor (one executor per simulated
         // core records against its own snapshot). Anything far beyond that
         // is garbage regardless of what it fingerprints as.
-        let caps = MemoCaps::from_env();
-        if table.steps() > caps.steps.saturating_mul(64) {
+        if table.steps() > MEMO_STEPS * 64 {
             return false;
         }
         if table
             .entries
             .iter()
-            .any(|e| e.steps.len() > caps.request_steps.saturating_mul(4))
+            .any(|e| e.steps.len() > MEMO_REQUEST_STEPS * 4)
         {
             return false;
         }
@@ -907,8 +803,6 @@ pub struct CompiledExecutor<'c> {
     /// maintained during replay; depth returns to zero by the end of
     /// every request).
     replay_depth: u32,
-    /// Memo budgets, resolved once per process (see [`MEMO_CAP_ENV`]).
-    caps: MemoCaps,
     /// `snapshot` length: [`PathRef`]s below it index the shared
     /// snapshot, those at or above it index `fresh` (rebased); only the
     /// latter are merged back on drop.
@@ -942,8 +836,8 @@ struct PathRef {
 /// tables plus a data-dependent target select, which dominated the
 /// replay loop's critical path. Storing the resolved transition turns
 /// all of that into one sequential load; the arena stays bounded by
-/// [`MemoCaps::steps`] (~2 MB at the default), and per-flavor cold footprint only
-/// matters until the step line is in cache.
+/// [`MEMO_STEPS`] (~2 MB), and per-flavor cold footprint only matters
+/// until the step line is in cache.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 struct ReplayStep {
     /// This chain's terminator fetch address in the low 48 bits with its
@@ -1048,7 +942,6 @@ impl<'c> CompiledExecutor<'c> {
             replay_staged: false,
             prefetch: 0,
             replay_depth: 0,
-            caps: MemoCaps::from_env(),
             spare: Vec::new(),
             stat_replayed: 0,
             stat_recorded: 0,
@@ -1115,7 +1008,7 @@ impl<'c> CompiledExecutor<'c> {
             self.replay_stage();
         } else {
             self.stat_live += 1;
-            if self.snapshot_len as usize + self.fresh.len() < self.caps.steps {
+            if self.snapshot_len as usize + self.fresh.len() < MEMO_STEPS {
                 let mut buf = std::mem::take(&mut self.spare);
                 buf.clear();
                 self.recording = Some(buf);
@@ -1331,7 +1224,7 @@ impl<'c> CompiledExecutor<'c> {
             // The final return is not part of the memoized path (its
             // target depends on the next scheduling draw).
             if let Some(mut buf) = self.recording.take() {
-                if buf.len() <= self.caps.request_steps {
+                if buf.len() <= MEMO_REQUEST_STEPS {
                     let start = self.snapshot_len + self.fresh.len() as u32;
                     self.fresh.extend_from_slice(&buf);
                     self.memo.insert(
@@ -1791,42 +1684,6 @@ mod tests {
     fn block_count_matches_program() {
         let p = Program::generate(&WorkloadSpec::tiny()).unwrap();
         assert_eq!(p.compiled().block_count(), p.stats().basic_blocks);
-    }
-
-    #[test]
-    fn memo_caps_parse_accepts_positive_decimals_only() {
-        assert_eq!(
-            MemoCaps::parse("1024"),
-            Some(MemoCaps {
-                steps: 1024,
-                request_steps: 128
-            })
-        );
-        assert_eq!(MemoCaps::parse(" 8 ").unwrap().request_steps, 1);
-        assert_eq!(MemoCaps::parse("0"), None);
-        assert_eq!(MemoCaps::parse("-3"), None);
-        assert_eq!(MemoCaps::parse("plenty"), None);
-        assert_eq!(MemoCaps::parse(&(1u64 << 31).to_string()), None);
-        assert_eq!(MemoCaps::DEFAULT.steps, 1 << 16);
-        assert_eq!(MemoCaps::DEFAULT.request_steps, 1 << 13);
-    }
-
-    #[test]
-    fn memo_caps_validate_is_typed() {
-        assert_eq!(MemoCaps::validate("512").ok(), MemoCaps::parse("512"));
-        let err = MemoCaps::validate("banana").unwrap_err();
-        assert_eq!(err.value, "banana");
-        let msg = err.to_string();
-        assert!(
-            msg.contains(MEMO_CAP_ENV) && msg.contains("'banana'"),
-            "error must name the variable and the rejected value: {msg}"
-        );
-        // Unset (or empty) env means the default budget, not an error.
-        // The test runner never sets the variable; guard anyway rather
-        // than mutate process-global env state under parallel tests.
-        if std::env::var_os(MEMO_CAP_ENV).is_none() {
-            assert_eq!(MemoCaps::try_from_env(), Ok(MemoCaps::DEFAULT));
-        }
     }
 
     #[test]

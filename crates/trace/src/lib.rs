@@ -38,8 +38,7 @@ mod spec;
 mod stats;
 
 pub use compile::{
-    CompiledExecutor, CompiledProgram, ExecMode, MemoCapError, MemoCaps, MemoStats, MemoTable,
-    RecordStream, MEMO_CAP_ENV, NO_FASTPATH_ENV,
+    CompiledExecutor, CompiledProgram, ExecMode, MemoStats, MemoTable, RecordStream,
 };
 pub use exec::Executor;
 pub use program::{Program, ProgramStats};

@@ -2,14 +2,16 @@
 //! argv parse into a typed [`Args`], and the batch path every engine
 //! subcommand runs (build the engine, dispatch the jobs, render, report).
 //!
-//! The store directory comes from `--store-dir DIR` alone; `--no-store`
-//! wins over it. The store is always opened at the current
-//! [`SCHEMA_VERSION`], so entries written by older schemas are invisible
-//! rather than wrong. With a store attached, runs also use its
-//! **warm-artifact tier** — persisted path-memo tables that let executors
-//! replay from record zero even in a cold process — unless
-//! `--no-warm-artifacts` (or `CONFLUENCE_NO_WARM_ARTIFACTS`) turns it
-//! off. Artifacts never change results, only wall-clock time.
+//! Run configuration comes from argv alone: nothing here or in the library
+//! crates reads the process environment. The store directory comes from
+//! `--store-dir DIR`; `--no-store` wins over it. The store is always opened
+//! at the current [`SCHEMA_VERSION`], so entries written by older schemas
+//! are invisible rather than wrong. With a store attached, runs also use
+//! its **warm-artifact tier** — persisted path-memo tables that let
+//! executors replay from record zero even in a cold process — unless
+//! `--no-warm-artifacts` turns it off. `--no-fastpath` routes every job
+//! through the reference executor. Neither switch changes results, only
+//! wall-clock time.
 
 use std::path::PathBuf;
 use std::str::FromStr;
@@ -287,20 +289,15 @@ pub fn usage(name: &str, surface: Surface) -> String {
 /// Builds the engine `args` ask for: workloads at the selected scale,
 /// execution mode, pool width, and — unless `--connect` hands execution
 /// to a daemon — the persistent store and the peer tier. Exits with
-/// status 2 on a malformed `CONFLUENCE_MEMO_CAP` (checked before any
-/// workload is generated) or a store that cannot be opened: silently
-/// dropping persistence the caller asked for would waste every
-/// simulation in the run.
+/// status 2 on a store that cannot be opened: silently dropping
+/// persistence the caller asked for would waste every simulation in the
+/// run.
 pub fn build_engine(args: &Args) -> SimEngine {
-    if let Err(e) = confluence_trace::MemoCaps::try_from_env() {
-        eprintln!("error: {e}");
-        std::process::exit(2);
-    }
     eprintln!("generating workloads...");
     let exec_mode = if args.no_fastpath {
         ExecMode::Reference
     } else {
-        ExecMode::from_env()
+        ExecMode::Compiled
     };
     let mut engine = args.config().engine().with_exec_mode(exec_mode);
     if let Some(n) = args.threads {

@@ -13,9 +13,6 @@ use std::process::{Command, Output};
 fn run(args: &[&str], env: &[(&str, &str)]) -> Output {
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_confluence"));
     cmd.args(args);
-    // The suite's own memo-cap env must not leak into the spawned binary;
-    // tests set exactly what they mean to test.
-    cmd.env_remove("CONFLUENCE_MEMO_CAP");
     for (k, v) in env {
         cmd.env(k, v);
     }
@@ -248,13 +245,6 @@ fn malformed_numbers_and_cache_caps_exit_2() {
         &["all", "--threads", "many"],
         &[],
         &["--threads requires an integer value, got 'many'"],
-    );
-    // The memo cap is read from the environment by the library; the
-    // binary validates it before generating any workload.
-    assert_exit_2(
-        &["fig1", "--quick"],
-        &[("CONFLUENCE_MEMO_CAP", "banana")],
-        &["CONFLUENCE_MEMO_CAP", "banana"],
     );
 }
 

@@ -20,7 +20,7 @@ use confluence::trace::{MemoTable, Program, WorkloadSpec};
 /// Every job of the `--quick` suite, executed through both the compiled
 /// fast path and the reference interpreter, produces identical outputs
 /// and byte-identical rendered reports. This is the in-tree version of
-/// the CI `CONFLUENCE_NO_FASTPATH` stdout comparison.
+/// the CI `--no-fastpath` stdout comparison.
 #[test]
 fn quick_suite_outputs_identical_across_exec_modes() {
     let cfg = experiments::ExperimentConfig::quick();

@@ -16,7 +16,8 @@
 //!    the exactly-once contract.
 
 use confluence::sim::{
-    experiments, simulate_cmp_with_shards, DesignPoint, Job, SimEngine, TimingConfig, TimingJob,
+    experiments, simulate_cmp_with_shards_mode, DesignPoint, ExecMode, Job, SimEngine,
+    TimingConfig, TimingJob, TimingResult,
 };
 use confluence::trace::{Program, WorkloadSpec};
 use confluence_uarch::MemParams;
@@ -44,6 +45,17 @@ fn quick_cfg(cores: usize) -> TimingConfig {
     }
 }
 
+/// One timing run on the compiled fast path, its follower cores stepped
+/// across `shards` threads.
+fn run_sharded(
+    program: &Program,
+    design: DesignPoint,
+    cfg: &TimingConfig,
+    shards: usize,
+) -> TimingResult {
+    simulate_cmp_with_shards_mode(program, design, cfg, shards, ExecMode::Compiled)
+}
+
 /// Shard-count invariance over a working set that actually exercises the
 /// shared LLC and the shared SHIFT history (Confluence prefetches through
 /// both; the Baseline covers the no-prefetch path; Ideal covers the
@@ -58,10 +70,10 @@ fn core_grain_stepping_is_bit_identical_at_any_shard_count() {
         DesignPoint::Confluence,
         DesignPoint::Ideal,
     ] {
-        let serial = simulate_cmp_with_shards(&program, design, &cfg, 1);
+        let serial = run_sharded(&program, design, &cfg, 1);
         assert!(serial.ipc() > 0.05, "{design:?}: degenerate run");
         for shards in [2, 8] {
-            let sharded = simulate_cmp_with_shards(&program, design, &cfg, shards);
+            let sharded = run_sharded(&program, design, &cfg, shards);
             assert_eq!(
                 serial.per_core, sharded.per_core,
                 "{design:?}: per-core stats diverged at {shards} shard threads"
@@ -80,8 +92,8 @@ fn core_grain_stepping_is_bit_identical_at_any_shard_count() {
 fn oversized_shard_requests_clamp() {
     let program = Program::generate(&WorkloadSpec::tiny()).unwrap();
     let cfg = quick_cfg(2);
-    let serial = simulate_cmp_with_shards(&program, DesignPoint::Baseline, &cfg, 1);
-    let absurd = simulate_cmp_with_shards(&program, DesignPoint::Baseline, &cfg, 64);
+    let serial = run_sharded(&program, DesignPoint::Baseline, &cfg, 1);
+    let absurd = run_sharded(&program, DesignPoint::Baseline, &cfg, 64);
     assert_eq!(serial, absurd);
 }
 
@@ -94,14 +106,12 @@ fn oversized_shard_requests_clamp() {
 fn concurrent_sharded_runs_agree_with_serial() {
     let program = Program::generate(&WorkloadSpec::tiny()).unwrap();
     let cfg = quick_cfg(4);
-    let reference = simulate_cmp_with_shards(&program, DesignPoint::Confluence, &cfg, 1);
+    let reference = run_sharded(&program, DesignPoint::Confluence, &cfg, 1);
     std::thread::scope(|scope| {
         let handles: Vec<_> = (0..8)
             .map(|t| {
                 let (program, cfg) = (&program, &cfg);
-                scope.spawn(move || {
-                    simulate_cmp_with_shards(program, DesignPoint::Confluence, cfg, 1 + t % 4)
-                })
+                scope.spawn(move || run_sharded(program, DesignPoint::Confluence, cfg, 1 + t % 4))
             })
             .collect();
         for h in handles {
