@@ -553,6 +553,37 @@ mod tests {
         );
     }
 
+    /// The timing frontend can fill a block that is already resident (a
+    /// demand fill and a prefetch landing on the same block). Evicting it
+    /// afterwards must still drop every overflow entry it spilled, and
+    /// only those.
+    #[test]
+    fn double_fill_then_evict_sweeps_exactly_that_blocks_spills() {
+        let mut btb = AirBtb::new(AirBtbMode::Full, 512, 3, 32);
+        let first = BlockAddr::from_raw(0x100);
+        let twice = BlockAddr::from_raw(0x40);
+        btb.on_l1i_fill(first, &branches_5());
+        btb.on_l1i_fill(twice, &branches_5());
+        btb.on_l1i_fill(twice, &branches_5());
+        btb.on_l1i_evict(twice);
+        for offset in 0..INSTRS_PER_BLOCK {
+            assert!(!btb.lookup(twice.base(), twice.instr(offset)).hit);
+        }
+        // Fifteen more spilling blocks fill the 32-entry buffer exactly
+        // (2 entries each, plus `first`'s 2). A stale entry left behind by
+        // `twice` would be younger than `first`'s and push them out; an
+        // over-eager sweep would drop them directly.
+        for i in 0..15 {
+            btb.on_l1i_fill(BlockAddr::from_raw(0x200 + i), &branches_5());
+        }
+        for offset in [11, 14] {
+            assert!(
+                btb.lookup(first.base(), first.instr(offset)).hit,
+                "another block's spilled entries must survive the eviction"
+            );
+        }
+    }
+
     #[test]
     fn non_branch_offsets_miss() {
         let mut btb = AirBtb::paper_config();

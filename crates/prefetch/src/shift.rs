@@ -565,6 +565,138 @@ mod tests {
         assert_eq!(h.len(), 1, "reader views must never mutate");
     }
 
+    /// A plain reference model of [`ShiftHistory`]: the whole entry log
+    /// kept forever and a `HashMap` from block to the last sequence
+    /// number that indexed it. An index entry is usable only while its
+    /// sequence number is inside the window, which is what lazy removal
+    /// guarantees.
+    struct RefHistory {
+        log: Vec<(u64, u8)>,
+        index: std::collections::HashMap<u64, u64>,
+        capacity: u64,
+        last: Option<u64>,
+    }
+
+    /// Reference cursor: entry sequence number, position in the entry's
+    /// block list, and the block to resume after.
+    type RefCursor = (u64, usize, Option<u64>);
+
+    impl RefHistory {
+        fn new(capacity: usize) -> Self {
+            RefHistory {
+                log: Vec::new(),
+                index: std::collections::HashMap::new(),
+                capacity: capacity as u64,
+                last: None,
+            }
+        }
+
+        fn record(&mut self, b: u64) {
+            if self.last == Some(b) {
+                return;
+            }
+            self.last = Some(b);
+            let open = self.log.len() as u64;
+            if let Some((base, mask)) = self.log.last_mut() {
+                let delta = b.wrapping_sub(*base);
+                if delta == 0 && *mask == 0 {
+                    return;
+                }
+                if (1..=FOOTPRINT_SPAN).contains(&delta) && *mask & (1 << (delta - 1)) == 0 {
+                    *mask |= 1 << (delta - 1);
+                    self.index.insert(b, open - 1);
+                    return;
+                }
+            }
+            self.log.push((b, 0));
+            self.index.insert(b, open);
+        }
+
+        fn valid(&self, seq: u64) -> bool {
+            let head = self.log.len() as u64;
+            seq < head && head - seq <= self.capacity
+        }
+
+        fn lookup(&self, b: u64) -> Option<RefCursor> {
+            let seq = *self.index.get(&b)?;
+            self.valid(seq).then_some((seq, 0, Some(b)))
+        }
+
+        fn read(&self, c: &mut RefCursor) -> Option<u64> {
+            while self.valid(c.0) {
+                let (base, mask) = self.log[c.0 as usize];
+                let mut blocks = vec![base];
+                blocks.extend(
+                    (0..FOOTPRINT_SPAN)
+                        .filter(|i| mask & (1 << i) != 0)
+                        .map(|i| base + i + 1),
+                );
+                let start = match c.2.take() {
+                    Some(after) => blocks.iter().position(|&x| x == after).map_or(0, |p| p + 1),
+                    None => c.1,
+                };
+                if let Some(&x) = blocks.get(start) {
+                    c.1 = start + 1;
+                    return Some(x);
+                }
+                *c = (c.0 + 1, 0, None);
+            }
+            None
+        }
+    }
+
+    /// Randomized lockstep check of record / lookup / read against the
+    /// reference model, at capacities that wrap constantly (1, 4) and one
+    /// that wraps rarely (64). Blocks come from a small region with strong
+    /// spatial locality, so footprint merges, recurrences and stale index
+    /// entries are all frequent; cursors are held across later records so
+    /// reads race the writer and the window.
+    #[test]
+    fn history_matches_reference_model() {
+        use confluence_types::DetRng;
+        for capacity in [1, 4, 64] {
+            let mut rng = DetRng::seed_from(0x5_41F7 + capacity as u64);
+            let mut h = ShiftHistory::with_capacity(capacity);
+            let mut r = RefHistory::new(capacity);
+            let mut held: Option<(StreamCursor, RefCursor)> = None;
+            let mut block = 0u64;
+            for step in 0..20_000 {
+                block = if rng.chance(0.7) {
+                    block + rng.below(4)
+                } else {
+                    rng.below(96)
+                };
+                h.record(BlockAddr::from_raw(block));
+                r.record(block);
+                assert_eq!(h.len(), r.log.len().min(capacity), "len at step {step}");
+
+                let probe = rng.below(100);
+                let got = h.lookup(BlockAddr::from_raw(probe));
+                let want = r.lookup(probe);
+                assert_eq!(
+                    got.is_some(),
+                    want.is_some(),
+                    "lookup({probe}) at step {step}"
+                );
+                if let (Some(c), Some(rc)) = (got, want) {
+                    if held.is_none() || rng.chance(0.2) {
+                        held = Some((c, rc));
+                    }
+                }
+                if let Some((c, rc)) = &mut held {
+                    for _ in 0..rng.below(6) {
+                        let x = h.read(c).map(BlockAddr::raw);
+                        assert_eq!(x, r.read(rc), "read at step {step}");
+                        if x.is_none() {
+                            held = None;
+                            break;
+                        }
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn reset_clears_history_and_engine() {
         let mut h = ShiftHistory::with_capacity(8);

@@ -16,15 +16,19 @@
 //!    never reduce BTB coverage, Ideal >= Confluence >= Baseline IPC at
 //!    every core count, and BTB MPKI never rises with capacity.
 //!
+//! The coverage figures (Figures 1, 8, 9, 10, L1-I coverage and Table 2)
+//! ride the same golden harness, pinned at `tests/goldens/<figure>.csv`.
+//!
 //! The engine-contention stress test at the bottom closes PR 1's open
 //! item: the original container was single-core, so the exactly-once
 //! cache had never been hammered from genuinely concurrent requesters.
 
 use std::path::PathBuf;
 
+use confluence::sim::experiments::{self, ExperimentConfig};
 use confluence::sim::report::Report;
 use confluence::sim::sweeps::{self, SweepAxis, SweepSpec};
-use confluence::sim::{experiments::ExperimentConfig, SimEngine};
+use confluence::sim::SimEngine;
 use confluence::store::ResultStore;
 use confluence::trace::Workload;
 
@@ -57,7 +61,7 @@ fn check_golden(name: &str, actual: &str) {
         .unwrap_or_else(|e| panic!("missing golden {}: {e}", path.display()));
     assert_eq!(
         expected, actual,
-        "golden mismatch for study '{name}' — if the change is intentional, \
+        "golden mismatch for '{name}' — if the change is intentional, \
          regenerate with CONFLUENCE_REGOLD=1 cargo test and review the diff"
     );
 }
@@ -224,7 +228,7 @@ fn sweep_studies_match_goldens_hold_properties_and_rerun_warm() {
 
     let cold = golden_engine(&cfg).with_store(dir.open());
     let jobs: Vec<_> = studies.iter().flat_map(|s| s.jobs(&cold, &cfg)).collect();
-    let unique = confluence::sim::experiments::unique_jobs(&jobs) as u64;
+    let unique = experiments::unique_jobs(&jobs) as u64;
     cold.run(&jobs);
     assert_eq!(cold.stats().executed, unique, "cold run simulates all");
 
@@ -262,6 +266,36 @@ fn sweep_studies_match_goldens_hold_properties_and_rerun_warm() {
     assert_eq!(stats.executed, 0, "warm sweep must execute nothing");
     assert_eq!(stats.disk_hits, unique, "every unique point from disk");
     assert_eq!(warm_csv, cold_csv, "warm reports must be byte-identical");
+}
+
+/// The coverage figures (Figures 1, 8, 9, 10, the L1-I coverage table
+/// and Table 2) pinned the same way as the sweep studies. These are the
+/// outputs of the BTB, AirBTB, PhantomBTB, L1-I and SHIFT models'
+/// functional path, so a layout change to any of those structures must
+/// leave every byte here unchanged.
+#[test]
+fn coverage_figures_match_goldens() {
+    type Figure = fn(&SimEngine, &ExperimentConfig) -> Report;
+    type Jobs = fn(&SimEngine, &ExperimentConfig) -> Vec<confluence::sim::Job>;
+    let figures: [(&str, Jobs, Figure); 6] = [
+        ("fig1", experiments::fig1_jobs, experiments::fig1),
+        ("fig8", experiments::fig8_jobs, experiments::fig8),
+        ("fig9", experiments::fig9_jobs, experiments::fig9),
+        ("fig10", experiments::fig10_jobs, experiments::fig10),
+        (
+            "l1i-coverage",
+            experiments::l1i_coverage_jobs,
+            experiments::l1i_coverage,
+        ),
+        ("table2", experiments::table2_jobs, experiments::table2),
+    ];
+    let cfg = ExperimentConfig::quick();
+    let engine = golden_engine(&cfg);
+    let jobs: Vec<_> = figures.iter().flat_map(|f| f.1(&engine, &cfg)).collect();
+    engine.run(&jobs);
+    for (name, _, figure) in figures {
+        check_golden(name, &figure(&engine, &cfg).to_csv());
+    }
 }
 
 /// Overlapping sweep-shaped job lists hammered at one engine from many
