@@ -2,7 +2,7 @@
 //! (paper Section 4.2.2).
 
 use confluence_types::{BranchClass, StorageProfile, VAddr};
-use confluence_uarch::SetAssocCache;
+use confluence_uarch::{LruBuffer, SetAssocCache};
 
 use crate::design::{tag_bits, BtbDesign, BtbOutcome, ResolvedBranch};
 
@@ -48,7 +48,7 @@ pub(crate) struct ConvEntry {
 pub struct ConventionalBtb {
     name: &'static str,
     main: SetAssocCache<ConvEntry>,
-    victim: Option<SetAssocCache<ConvEntry>>,
+    victim: Option<LruBuffer<ConvEntry>>,
     entries: usize,
     ways: usize,
     victim_entries: usize,
@@ -87,12 +87,7 @@ impl ConventionalBtb {
         victim_entries: usize,
     ) -> Result<Self, confluence_types::ConfigError> {
         let main = SetAssocCache::new((entries / ways).max(1), ways)?;
-        let victim = if victim_entries > 0 {
-            // Fully associative: one set, `victim_entries` ways.
-            Some(SetAssocCache::new(1, victim_entries)?)
-        } else {
-            None
-        };
+        let victim = (victim_entries > 0).then(|| LruBuffer::new(victim_entries));
         Ok(ConventionalBtb {
             name,
             main,
@@ -122,7 +117,7 @@ impl ConventionalBtb {
             return Some(*e);
         }
         if let Some(victim) = &mut self.victim {
-            if let Some(e) = victim.invalidate(key) {
+            if let Some(e) = victim.remove(key) {
                 // Swap back into the main table.
                 if let Some((vk, vv)) = self.main.insert(key, e) {
                     victim.insert(vk, vv);

@@ -22,7 +22,7 @@
 use std::collections::VecDeque;
 
 use confluence_types::{StorageProfile, VAddr};
-use confluence_uarch::SetAssocCache;
+use confluence_uarch::{LruBuffer, SetAssocCache};
 
 use crate::conventional::{ConvEntry, ConventionalBtb};
 use crate::design::{BtbDesign, BtbOutcome, ResolvedBranch};
@@ -38,13 +38,14 @@ pub const GROUP_TABLE_LINES: usize = 4096;
 /// Groups fetched per trigger miss.
 const GROUPS_PER_TRIGGER: u64 = 4;
 
-type Group = Vec<(VAddr, ConvEntry)>;
+/// One temporal group: the contents of one LLC line.
+type Group = [(VAddr, ConvEntry); GROUP_ENTRIES];
 
 /// PhantomBTB with an LLC-virtualized temporal-group second level.
 #[derive(Clone, Debug)]
 pub struct PhantomBtb {
     l1: ConventionalBtb,
-    prefetch_buffer: SetAssocCache<ConvEntry>,
+    prefetch_buffer: LruBuffer<ConvEntry>,
     /// Temporal groups in formation order (bounded circular log modelling
     /// the 4K reserved LLC lines).
     group_log: VecDeque<Group>,
@@ -53,12 +54,13 @@ pub struct PhantomBtb {
     /// Region tag -> sequence number of the most recent group it triggered.
     index: SetAssocCache<u64>,
     /// Group currently being formed from consecutive L1 misses.
-    forming: Group,
+    forming: Vec<(VAddr, ConvEntry)>,
     forming_region: u64,
     /// Next group sequence to chase when prefetched entries prove useful.
     chase: Option<u64>,
-    /// Groups fetched from the LLC but not yet arrived: (ready, seq).
-    inflight: Vec<(u64, u64)>,
+    /// Groups fetched from the LLC but not yet arrived: (ready, seq), in
+    /// fetch order. The latency is fixed, so that is also `ready` order.
+    inflight: VecDeque<(u64, u64)>,
     /// Pseudo-cycle counter advanced once per lookup (the BPU performs one
     /// lookup per cycle), used to model group arrival latency.
     now: u64,
@@ -91,14 +93,14 @@ impl PhantomBtb {
     ) -> Result<Self, confluence_types::ConfigError> {
         Ok(PhantomBtb {
             l1: ConventionalBtb::new("PhantomBTB-L1", l1_entries, 4, 0)?,
-            prefetch_buffer: SetAssocCache::new(1, prefetch_entries.max(1))?,
+            prefetch_buffer: LruBuffer::new(prefetch_entries.max(1)),
             group_log: VecDeque::with_capacity(GROUP_TABLE_LINES),
             log_head: 0,
             index: SetAssocCache::new(GROUP_TABLE_LINES / 4, 4)?,
             forming: Vec::with_capacity(GROUP_ENTRIES),
             forming_region: 0,
             chase: None,
-            inflight: Vec::new(),
+            inflight: VecDeque::new(),
             now: 0,
             llc_latency,
             prefetch_entries,
@@ -115,42 +117,28 @@ impl PhantomBtb {
         bb_start.raw() >> 2
     }
 
-    fn seq_valid(&self, seq: u64) -> bool {
-        seq < self.log_head && self.log_head - seq <= self.group_log.len() as u64
-    }
-
     fn group_at(&self, seq: u64) -> Option<&Group> {
-        if !self.seq_valid(seq) {
-            return None;
-        }
-        let oldest = self.log_head - self.group_log.len() as u64;
-        self.group_log.get((seq - oldest) as usize)
+        group_in(&self.group_log, self.log_head, seq)
     }
 
     /// Schedules the LLC fetch of one group.
     fn fetch_group(&mut self, seq: u64) {
-        if self.seq_valid(seq) && !self.inflight.iter().any(|&(_, s)| s == seq) {
-            self.inflight.push((self.now + self.llc_latency, seq));
+        if self.group_at(seq).is_some() && !self.inflight.iter().any(|&(_, s)| s == seq) {
+            self.inflight.push_back((self.now + self.llc_latency, seq));
         }
     }
 
-    /// Installs groups whose LLC fetch has completed.
+    /// Installs groups whose LLC fetch has completed, in fetch order.
     fn drain_inflight(&mut self) {
-        let now = self.now;
-        let mut arrived: Vec<u64> = Vec::new();
-        self.inflight.retain(|&(ready, seq)| {
-            if ready <= now {
-                arrived.push(seq);
-                false
-            } else {
-                true
+        while let Some(&(ready, seq)) = self.inflight.front() {
+            if ready > self.now {
+                break;
             }
-        });
-        for seq in arrived {
-            let Some(group) = self.group_at(seq) else {
-                continue;
-            };
-            for (bb, entry) in group.clone() {
+            self.inflight.pop_front();
+            for &(bb, entry) in group_in(&self.group_log, self.log_head, seq)
+                .into_iter()
+                .flatten()
+            {
                 self.prefetch_buffer.insert(Self::key(bb), entry);
             }
         }
@@ -182,7 +170,7 @@ impl BtbDesign for PhantomBtb {
         }
         // Prefetch-buffer hit: promote into the L1 and chase the stream of
         // groups that followed this one at formation time.
-        if let Some(entry) = self.prefetch_buffer.invalidate(Self::key(bb_start)) {
+        if let Some(entry) = self.prefetch_buffer.remove(Self::key(bb_start)) {
             self.l1.install(bb_start, entry);
             if let Some(next) = self.chase {
                 self.fetch_group(next);
@@ -210,17 +198,13 @@ impl BtbDesign for PhantomBtb {
         // (paper Section 2.3: "delays in accessing the second level of BTB
         // storage in the LLC"). Content-wise the miss is eliminated;
         // timing-wise the arrival delay is a fetch bubble.
+        // The earliest arrival carrying it is the first in fetch order.
         let key = Self::key(bb_start);
-        let mut found: Option<(u64, ConvEntry)> = None;
-        for &(ready, seq) in &self.inflight {
-            if let Some(group) = self.group_at(seq) {
-                if let Some(&(_, entry)) = group.iter().find(|&&(bb, _)| Self::key(bb) == key) {
-                    if found.map(|(r, _)| ready < r).unwrap_or(true) {
-                        found = Some((ready, entry));
-                    }
-                }
-            }
-        }
+        let found = self.inflight.iter().find_map(|&(ready, seq)| {
+            let group = self.group_at(seq)?;
+            let &(_, entry) = group.iter().find(|&&(bb, _)| Self::key(bb) == key)?;
+            Some((ready, entry))
+        });
         if let Some((ready, entry)) = found {
             self.l1.install(bb_start, entry);
             return BtbOutcome {
@@ -252,7 +236,8 @@ impl BtbDesign for PhantomBtb {
         }
         self.forming.push((resolved.bb_start, entry));
         if self.forming.len() == GROUP_ENTRIES {
-            let group = std::mem::take(&mut self.forming);
+            let group: Group = self.forming[..].try_into().expect("a full group");
+            self.forming.clear();
             self.index.insert(self.forming_region, self.log_head);
             if self.group_log.len() == GROUP_TABLE_LINES {
                 self.group_log.pop_front();
@@ -283,6 +268,16 @@ impl BtbDesign for PhantomBtb {
         self.inflight.clear();
         self.now = 0;
     }
+}
+
+/// The group with sequence number `seq` in a log whose next append is
+/// `log_head`, if it is still stored.
+fn group_in(log: &VecDeque<Group>, log_head: u64, seq: u64) -> Option<&Group> {
+    let oldest = log_head - log.len() as u64;
+    if seq < oldest || seq >= log_head {
+        return None;
+    }
+    log.get((seq - oldest) as usize)
 }
 
 fn direct_target(entry: ConvEntry) -> Option<VAddr> {

@@ -15,15 +15,14 @@
 //! or L1-I synchronization disabled, isolating each design ingredient's
 //! contribution to miss coverage.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use confluence_btb::{tag_bits, BtbDesign, BtbOutcome, ResolvedBranch};
 use confluence_types::{
-    BlockAddr, BranchClass, PredecodeSource, PredecodedBranch, StorageProfile, VAddr,
+    BlockAddr, BranchClass, IntMap, PredecodeSource, PredecodedBranch, StorageProfile, VAddr,
     INSTRS_PER_BLOCK,
 };
-use confluence_uarch::SetAssocCache;
+use confluence_uarch::{LruBuffer, SetAssocCache};
 
 /// Default number of branch entries per bundle (paper: 3).
 pub const DEFAULT_BUNDLE_ENTRIES: usize = 3;
@@ -73,11 +72,33 @@ impl BundleEntry {
     }
 }
 
+/// Target word of a held entry without a static target (indirect kinds).
+const NO_TARGET: u64 = u64::MAX;
+
 /// A bundle: the AirBTB record for one instruction block.
-#[derive(Clone, Debug, Default)]
+///
+/// Entries sit inline, indexed by instruction slot, as in the hardware
+/// bundle: `held` marks the slots whose entry the bundle stores (at most
+/// `bundle_entries` of the bitmap's branches); the bitmap's other branches
+/// spilled to the overflow buffer.
+#[derive(Clone, Copy, Debug)]
 struct Bundle {
     bitmap: u16,
-    entries: Vec<BundleEntry>,
+    held: u16,
+    class: [BranchClass; INSTRS_PER_BLOCK],
+    /// Raw target address per held slot, or [`NO_TARGET`].
+    target: [u64; INSTRS_PER_BLOCK],
+}
+
+impl Default for Bundle {
+    fn default() -> Self {
+        Bundle {
+            bitmap: 0,
+            held: 0,
+            class: [BranchClass::Conditional; INSTRS_PER_BLOCK],
+            target: [NO_TARGET; INSTRS_PER_BLOCK],
+        }
+    }
 }
 
 impl Bundle {
@@ -89,8 +110,26 @@ impl Bundle {
         self.bitmap & (1 << offset) != 0
     }
 
-    fn find(&self, offset: u8) -> Option<&BundleEntry> {
-        self.entries.iter().find(|e| e.offset == offset)
+    /// Number of entries the bundle holds.
+    fn len(&self) -> usize {
+        self.held.count_ones() as usize
+    }
+
+    fn find(&self, offset: u8) -> Option<BundleEntry> {
+        (self.held & (1 << offset) != 0).then(|| BundleEntry {
+            offset,
+            class: self.class[offset as usize],
+            target: (self.target[offset as usize] != NO_TARGET)
+                .then(|| VAddr::new(self.target[offset as usize])),
+        })
+    }
+
+    /// Stores `e` in its slot, replacing any entry already there.
+    fn hold(&mut self, e: BundleEntry) {
+        let slot = e.offset as usize;
+        self.held |= 1 << slot;
+        self.class[slot] = e.class;
+        self.target[slot] = e.target.map_or(NO_TARGET, VAddr::raw);
     }
 }
 
@@ -116,11 +155,11 @@ pub struct AirBtb {
     mode: AirBtbMode,
     bundle_entries: usize,
     /// Synchronized storage (Full mode): mirrors L1-I contents exactly.
-    synced: HashMap<BlockAddr, Bundle>,
+    synced: IntMap<BlockAddr, Bundle>,
     /// Standalone storage (ablation modes): own set-associative array.
     standalone: SetAssocCache<Bundle>,
     /// Fully-associative overflow buffer keyed by branch PC.
-    overflow: Option<SetAssocCache<BundleEntry>>,
+    overflow: Option<LruBuffer<BundleEntry>>,
     overflow_entries: usize,
     bundles: usize,
     /// Predecode oracle for eager insertion in the ablation modes that are
@@ -159,8 +198,9 @@ impl AirBtb {
     ///
     /// # Panics
     ///
-    /// Panics if `bundles` is not a multiple of 4 (the fixed associativity)
-    /// or `bundle_entries` is zero.
+    /// Panics if `bundles / 4` (the set count of the standalone array at
+    /// its fixed 4-way associativity) is not a power of two, or if
+    /// `bundle_entries` is zero or exceeds [`INSTRS_PER_BLOCK`].
     pub fn new(
         mode: AirBtbMode,
         bundles: usize,
@@ -168,14 +208,17 @@ impl AirBtb {
         overflow_entries: usize,
     ) -> Self {
         assert!(bundle_entries > 0, "bundles must hold at least one entry");
+        assert!(
+            bundle_entries <= INSTRS_PER_BLOCK,
+            "a bundle holds at most one entry per instruction slot"
+        );
         let standalone = SetAssocCache::new((bundles / 4).max(1), 4)
             .expect("bundle count must give a power-of-two set count");
-        let overflow = (overflow_entries > 0)
-            .then(|| SetAssocCache::new(1, overflow_entries).expect("overflow geometry is valid"));
+        let overflow = (overflow_entries > 0).then(|| LruBuffer::new(overflow_entries));
         AirBtb {
             mode,
             bundle_entries,
-            synced: HashMap::new(),
+            synced: IntMap::default(),
             standalone,
             overflow,
             overflow_entries,
@@ -224,8 +267,8 @@ impl AirBtb {
         for b in branches {
             debug_assert!((b.offset as usize) < INSTRS_PER_BLOCK);
             bundle.set_bit(b.offset);
-            if bundle.entries.len() < self.bundle_entries {
-                bundle.entries.push(BundleEntry::from_predecode(b));
+            if bundle.len() < self.bundle_entries {
+                bundle.hold(BundleEntry::from_predecode(b));
             } else if let Some(of) = &mut self.overflow {
                 of.insert(
                     block.instr(b.offset as usize).raw(),
@@ -259,14 +302,7 @@ impl AirBtb {
     /// Drops overflow entries belonging to an evicted block.
     fn sweep_overflow(&mut self, block: BlockAddr) {
         if let Some(of) = &mut self.overflow {
-            let stale: Vec<u64> = of
-                .iter()
-                .filter(|(k, _)| VAddr::new(*k).block() == block)
-                .map(|(k, _)| k)
-                .collect();
-            for k in stale {
-                of.invalidate(k);
-            }
+            of.retain(|pc| VAddr::new(pc).block() != block);
         }
     }
 
@@ -307,10 +343,8 @@ impl AirBtb {
         match existing {
             Some(bundle) => {
                 bundle.set_bit(offset);
-                if let Some(slot) = bundle.entries.iter_mut().find(|e| e.offset == offset) {
-                    *slot = entry;
-                } else if bundle.entries.len() < cap {
-                    bundle.entries.push(entry);
+                if bundle.find(offset).is_some() || bundle.len() < cap {
+                    bundle.hold(entry);
                 } else {
                     spill = true;
                 }
@@ -318,7 +352,7 @@ impl AirBtb {
             None => {
                 let mut bundle = Bundle::default();
                 bundle.set_bit(offset);
-                bundle.entries.push(entry);
+                bundle.hold(entry);
                 self.install_bundle(block, bundle);
             }
         }
@@ -357,7 +391,7 @@ impl BtbDesign for AirBtb {
                 if !bundle.bit(offset) {
                     Probe::NoBit
                 } else if let Some(e) = bundle.find(offset) {
-                    Probe::Entry(*e)
+                    Probe::Entry(e)
                 } else {
                     Probe::Spilled
                 }

@@ -11,9 +11,7 @@
 //! its fetch unit, issuing prefetches; each confirmed prediction (the core
 //! actually demands a predicted block) advances the stream.
 
-use std::collections::HashMap;
-
-use confluence_types::{BlockAddr, StorageProfile};
+use confluence_types::{BlockAddr, IntMap, StorageProfile};
 
 /// Default history capacity: 32K entries (paper Section 4.2.1, 204 KB
 /// virtualized in the LLC).
@@ -37,15 +35,31 @@ struct HistoryEntry {
 }
 
 impl HistoryEntry {
-    /// Blocks covered by this entry, in ascending order starting at `base`.
-    fn blocks(self) -> impl Iterator<Item = BlockAddr> {
-        let base = self.base;
-        let mask = self.mask;
-        std::iter::once(base).chain(
-            (0..FOOTPRINT_SPAN)
-                .filter(move |i| mask & (1 << i) != 0)
-                .map(move |i| BlockAddr::from_raw(base.raw() + i + 1)),
-        )
+    /// The `k`-th covered block in ascending order: the trigger, then the
+    /// footprint's set bits lowest first.
+    #[inline]
+    fn nth(self, k: usize) -> Option<BlockAddr> {
+        if k == 0 {
+            return Some(self.base);
+        }
+        let mut mask = self.mask;
+        for _ in 1..k {
+            mask &= mask.wrapping_sub(1);
+        }
+        (mask != 0).then(|| BlockAddr::from_raw(self.base.raw() + mask.trailing_zeros() as u64 + 1))
+    }
+
+    /// Position of `block` in [`HistoryEntry::nth`] order, if covered.
+    #[inline]
+    fn position(self, block: BlockAddr) -> Option<usize> {
+        let delta = block.raw().wrapping_sub(self.base.raw());
+        if delta == 0 {
+            return Some(0);
+        }
+        if delta > FOOTPRINT_SPAN || self.mask & (1 << (delta - 1)) == 0 {
+            return None;
+        }
+        Some(1 + (self.mask & ((1 << (delta - 1)) - 1)).count_ones() as usize)
     }
 
     #[cfg(test)]
@@ -64,8 +78,11 @@ pub struct ShiftHistory {
     buffer: Vec<HistoryEntry>,
     /// Monotonically increasing sequence number of the next write.
     head_seq: u64,
-    /// Block address -> most recent sequence number of an entry covering it.
-    index: HashMap<BlockAddr, u64>,
+    /// Block address -> most recent sequence number of an entry covering
+    /// it. It grows with the distinct blocks seen, up to
+    /// (1 + [`FOOTPRINT_SPAN`]) x capacity live entries; it is not
+    /// pre-sized to that bound, which is far above typical working sets.
+    index: IntMap<BlockAddr, u64>,
     capacity: usize,
     last_recorded: Option<BlockAddr>,
 }
@@ -86,7 +103,7 @@ impl ShiftHistory {
         ShiftHistory {
             buffer: vec![HistoryEntry::default(); capacity],
             head_seq: 0,
-            index: HashMap::new(),
+            index: IntMap::default(),
             capacity,
             last_recorded: None,
         }
@@ -125,7 +142,8 @@ impl ShiftHistory {
         if self.head_seq >= self.capacity as u64 {
             let old = self.buffer[pos];
             let old_seq = self.head_seq - self.capacity as u64;
-            for b in old.blocks() {
+            for k in 0..=old.mask.count_ones() as usize {
+                let b = old.nth(k).expect("k counts covered blocks");
                 if self.index.get(&b) == Some(&old_seq) {
                     self.index.remove(&b);
                 }
@@ -177,16 +195,11 @@ impl ShiftHistory {
             }
             let entry = self.buffer[(seq % self.capacity as u64) as usize];
             // Walk the entry's covered blocks from the cursor's offset.
-            let blocks: Vec<BlockAddr> = entry.blocks().collect();
             let start = match cursor.skip_through {
-                Some(after) => blocks
-                    .iter()
-                    .position(|&b| b == after)
-                    .map(|p| p + 1)
-                    .unwrap_or(0),
+                Some(after) => entry.position(after).map_or(0, |p| p + 1),
                 None => cursor.offset as usize,
             };
-            if let Some(&b) = blocks.get(start) {
+            if let Some(b) = entry.nth(start) {
                 cursor.skip_through = None;
                 cursor.offset = (start + 1) as u8;
                 return Some(b);
@@ -549,8 +562,12 @@ mod tests {
         assert!(!e.covers(BlockAddr::from_raw(102)));
         assert!(e.covers(BlockAddr::from_raw(103)));
         assert!(!e.covers(BlockAddr::from_raw(99)));
-        let blocks: Vec<u64> = e.blocks().map(|b| b.raw()).collect();
+        let blocks: Vec<u64> = (0..4).filter_map(|k| e.nth(k)).map(|b| b.raw()).collect();
         assert_eq!(blocks, vec![100, 101, 103]);
+        let positions: Vec<_> = [100, 101, 102, 103, 99]
+            .map(|b| e.position(BlockAddr::from_raw(b)))
+            .into();
+        assert_eq!(positions, vec![Some(0), Some(1), None, Some(2), None]);
     }
 
     #[test]

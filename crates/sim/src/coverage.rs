@@ -15,7 +15,7 @@
 use confluence_btb::{BtbDesign, ResolvedBranch};
 use confluence_prefetch::{ShiftEngine, ShiftHistory};
 use confluence_trace::{ExecMode, Program};
-use confluence_types::{BlockAddr, PredecodeSource, VAddr};
+use confluence_types::{BlockAddr, IntMap, PredecodeSource, VAddr};
 use confluence_uarch::L1ICache;
 
 /// Options for a functional coverage run.
@@ -198,9 +198,9 @@ pub fn run_coverage(
 ///
 /// The default entry point runs the compiled fast path; this variant lets
 /// the experiment engine (and the equivalence harness) pick the path.
-pub fn run_coverage_mode(
+pub fn run_coverage_mode<B: BtbDesign + ?Sized>(
     program: &Program,
-    btb: &mut dyn BtbDesign,
+    btb: &mut B,
     opts: &CoverageOptions,
     mode: ExecMode,
 ) -> CoverageResult {
@@ -302,11 +302,11 @@ pub fn branch_density_mode(
     seed: u64,
     mode: ExecMode,
 ) -> (f64, f64) {
-    use std::collections::{HashMap, HashSet};
     let mut stream = program.stream(seed, mode);
     let mut residency = BlockResidency::new(L1ICache::new_32k());
-    // Distinct taken-branch PCs executed during the current residency.
-    let mut live: HashMap<BlockAddr, HashSet<VAddr>> = HashMap::new();
+    // Distinct taken-branch PCs executed during the current residency, as
+    // a mask over the block's instruction slots.
+    let mut live: IntMap<BlockAddr, u16> = IntMap::default();
     let mut static_sum = 0u64;
     let mut static_n = 0u64;
     let mut dyn_sum = 0u64;
@@ -317,25 +317,25 @@ pub fn branch_density_mode(
         if residency.access(block) == Some(false) {
             static_sum += program.branches_in_block(block).len() as u64;
             static_n += 1;
-            live.insert(block, HashSet::new());
+            live.insert(block, 0);
             if let Some(evicted) = residency.fill(block) {
-                if let Some(set) = live.remove(&evicted) {
-                    dyn_sum += set.len() as u64;
+                if let Some(taken) = live.remove(&evicted) {
+                    dyn_sum += u64::from(taken.count_ones());
                     dyn_n += 1;
                 }
             }
         }
         if let Some(b) = r.branch {
             if b.taken {
-                if let Some(set) = live.get_mut(&block) {
-                    set.insert(r.pc);
+                if let Some(taken) = live.get_mut(&block) {
+                    *taken |= 1 << r.pc.instr_index();
                 }
             }
         }
     });
     // Account for blocks still resident at the end.
-    for (_, set) in live {
-        dyn_sum += set.len() as u64;
+    for taken in live.into_values() {
+        dyn_sum += u64::from(taken.count_ones());
         dyn_n += 1;
     }
     let stat = if static_n == 0 {

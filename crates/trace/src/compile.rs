@@ -36,11 +36,10 @@
 //! [`ExecMode::Reference`] (the `--no-fastpath` flag) as the escape hatch
 //! and equivalence oracle.
 
-use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
 use confluence_store::{wire, Decode, Encode, Reader, WireError};
-use confluence_types::{BranchKind, DetRng, TraceRecord, VAddr, INSTR_BYTES, VADDR_BITS};
+use confluence_types::{BranchKind, DetRng, IntMap, TraceRecord, VAddr, INSTR_BYTES, VADDR_BITS};
 
 use crate::exec::{mix, site_unit, Executor, STACK_GUARD};
 use crate::program::{Program, Term};
@@ -227,7 +226,7 @@ pub struct CompiledProgram {
 /// lands first.
 #[derive(Debug, Default)]
 struct PathBank {
-    map: HashMap<(u32, u64), PathRef, BuildPathHasher>,
+    map: IntMap<(u32, u64), PathRef>,
     /// Shared step arena. Executors hold an `Arc` clone as their snapshot
     /// (construction never copies steps — the point of the warm tier is
     /// that short jobs start cheap); appends go through `Arc::make_mut`,
@@ -765,7 +764,7 @@ pub struct CompiledExecutor<'c> {
     /// scan of one contiguous array: no random access back into `desc`
     /// or `base`, no data-dependent target selection, and the hardware
     /// prefetcher sees a sequential address stream.
-    memo: HashMap<(u32, u64), PathRef, BuildPathHasher>,
+    memo: IntMap<(u32, u64), PathRef>,
     /// The shared bank arena as of construction — an `Arc` clone, never a
     /// step copy, so executor construction stays O(map) even when the
     /// warm bank holds hundreds of thousands of steps (the short-job
@@ -858,47 +857,6 @@ struct ReplayStep {
 const STEP_TAKEN: u64 = 1 << 63;
 /// Sentinel for `replay_pos`: no replay active.
 const NO_REPLAY: u32 = u32::MAX;
-
-/// Hasher for the request-path memo: one multiply-fold over the key halves.
-///
-/// The memo lookup runs once per request begin; SipHash on the 12-byte key
-/// is a measurable slice of that. Hash quality only affects bucket spread
-/// (the map stores and compares full keys), so a multiplicative fold is
-/// safe — and the key space per executor is a few hundred entries.
-#[derive(Clone, Copy, Debug, Default)]
-struct PathHasher(u64);
-
-/// `BuildHasher` for [`PathHasher`].
-#[derive(Clone, Copy, Debug, Default)]
-struct BuildPathHasher;
-
-impl std::hash::Hasher for PathHasher {
-    #[inline]
-    fn write(&mut self, _bytes: &[u8]) {
-        unreachable!("path keys hash via write_u32/write_u64 only");
-    }
-    #[inline]
-    fn write_u32(&mut self, v: u32) {
-        self.write_u64(v as u64);
-    }
-    #[inline]
-    fn write_u64(&mut self, v: u64) {
-        // Fibonacci-style multiply-xor fold (cf. FxHash).
-        self.0 = (self.0.rotate_left(5) ^ v).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    }
-    #[inline]
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
-impl std::hash::BuildHasher for BuildPathHasher {
-    type Hasher = PathHasher;
-    #[inline]
-    fn build_hasher(&self) -> PathHasher {
-        PathHasher(0)
-    }
-}
 
 impl<'c> CompiledExecutor<'c> {
     /// Creates a compiled executor with a dedicated dynamic-behaviour seed.

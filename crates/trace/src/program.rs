@@ -10,7 +10,6 @@
 //! `structure_seed`: the same spec always produces the identical program,
 //! byte for byte, so simulation results are reproducible.
 
-use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 
 use confluence_types::{
@@ -136,8 +135,8 @@ pub struct Program {
     request_entries: Vec<(u32, f64)>,
     /// Entry basic blocks of OS service routines (uniform weights).
     os_entries: Vec<u32>,
-    /// Predecode oracle: block address -> static branches in the block.
-    predecode: HashMap<BlockAddr, Vec<PredecodedBranch>>,
+    /// Predecode oracle: static branches of every code block.
+    predecode: PredecodeTable,
     stats: ProgramStats,
     /// Lazily translated fast-path form (see [`Program::compiled`]).
     compiled: OnceLock<Arc<CompiledProgram>>,
@@ -199,7 +198,28 @@ impl Program {
 
 impl PredecodeSource for Program {
     fn branches_in_block(&self, block: BlockAddr) -> &[PredecodedBranch] {
-        self.predecode.get(&block).map(Vec::as_slice).unwrap_or(&[])
+        self.predecode.branches_in_block(block)
+    }
+}
+
+/// The predecode oracle as a dense per-block index over the code region:
+/// the branches of code block `i` (counted from the region's first block)
+/// are `branches[starts[i]..starts[i + 1]]`, in ascending offset order.
+#[derive(Clone, Debug)]
+struct PredecodeTable {
+    first_block: u64,
+    starts: Vec<u32>,
+    branches: Vec<PredecodedBranch>,
+}
+
+impl PredecodeTable {
+    #[inline]
+    fn branches_in_block(&self, block: BlockAddr) -> &[PredecodedBranch] {
+        let i = block.raw().wrapping_sub(self.first_block) as usize;
+        match (self.starts.get(i), self.starts.get(i + 1)) {
+            (Some(&lo), Some(&hi)) => &self.branches[lo as usize..hi as usize],
+            _ => &[],
+        }
     }
 }
 
@@ -674,9 +694,14 @@ impl Builder {
         self.bbs.push(Bb { base, plain, term });
     }
 
-    /// Builds the predecode oracle from the laid-out basic blocks.
-    fn build_predecode(&self) -> HashMap<BlockAddr, Vec<PredecodedBranch>> {
-        let mut map: HashMap<BlockAddr, Vec<PredecodedBranch>> = HashMap::new();
+    /// Builds the predecode oracle from the laid-out basic blocks. Blocks
+    /// are laid out in ascending address order, so their terminators come
+    /// out grouped by instruction block and sorted by offset.
+    fn build_predecode(&self) -> PredecodeTable {
+        let first_block = CODE_BASE >> 6;
+        let blocks = predecode_block_span(CODE_BASE, self.cursor);
+        let mut starts = Vec::with_capacity(blocks + 1);
+        let mut branches = Vec::new();
         for bb in &self.bbs {
             let Some(kind) = bb.term.kind() else { continue };
             let pc = bb.term_pc();
@@ -690,12 +715,21 @@ impl Builder {
                 Some(t) => PredecodedBranch::direct(pc.instr_index() as u8, kind, t),
                 None => PredecodedBranch::indirect(pc.instr_index() as u8, kind),
             };
-            map.entry(pc.block()).or_default().push(branch);
+            // Open every block up to and including this branch's.
+            let block = (pc.block().raw() - first_block) as usize;
+            while starts.len() <= block {
+                starts.push(branches.len() as u32);
+            }
+            branches.push(branch);
         }
-        for v in map.values_mut() {
-            v.sort_by_key(|b| b.offset);
+        while starts.len() <= blocks {
+            starts.push(branches.len() as u32);
         }
-        map
+        PredecodeTable {
+            first_block,
+            starts,
+            branches,
+        }
     }
 }
 

@@ -148,10 +148,7 @@ impl<V> SetAssocCache<V> {
         let set = self.set_of(key);
         let lines = &mut self.sets[set];
         let pos = lines.iter().position(|l| l.key == key)?;
-        if pos != 0 {
-            let line = lines.remove(pos);
-            lines.insert(0, line);
-        }
+        lines[..=pos].rotate_right(1);
         Some(&lines[0].value)
     }
 
@@ -162,10 +159,7 @@ impl<V> SetAssocCache<V> {
         let set = self.set_of(key);
         let lines = &mut self.sets[set];
         let pos = lines.iter().position(|l| l.key == key)?;
-        if pos != 0 {
-            let line = lines.remove(pos);
-            lines.insert(0, line);
-        }
+        lines[..=pos].rotate_right(1);
         Some(&mut lines[0].value)
     }
 
@@ -194,18 +188,21 @@ impl<V> SetAssocCache<V> {
         let allowed = self.ways - self.reserved_ways[set];
         let lines = &mut self.sets[set];
         if let Some(pos) = lines.iter().position(|l| l.key == key) {
-            let mut line = lines.remove(pos);
-            line.value = value;
-            lines.insert(0, line);
+            lines[pos].value = value;
+            lines[..=pos].rotate_right(1);
             return None;
         }
-        let evicted = if lines.len() >= allowed.max(1) {
-            lines.pop().map(|l| (l.key, l.value))
+        let line = Line { key, value };
+        if lines.len() >= allowed.max(1) {
+            // Overwrite the LRU line and rotate the new line to MRU.
+            let last = lines.len() - 1;
+            let old = std::mem::replace(&mut lines[last], line);
+            lines.rotate_right(1);
+            Some((old.key, old.value))
         } else {
+            lines.insert(0, line);
             None
-        };
-        lines.insert(0, Line { key, value });
-        evicted
+        }
     }
 
     /// Inserts `key` at LRU position (lowest priority), as prefetchers

@@ -29,6 +29,7 @@ mod fill;
 mod indirect;
 mod l1i;
 mod llc;
+mod lru;
 mod mshr;
 mod noc;
 mod params;
@@ -41,6 +42,7 @@ pub use fill::{FillKind, FillRequest, PENDING_FILL};
 pub use indirect::IndirectTargetCache;
 pub use l1i::L1ICache;
 pub use llc::SharedLlc;
+pub use lru::LruBuffer;
 pub use mshr::MshrFile;
 pub use noc::MeshNoc;
 pub use params::{CoreParams, MemParams};
