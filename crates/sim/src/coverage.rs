@@ -154,16 +154,23 @@ impl BlockResidency {
         }
     }
 
+    /// True on the first touch of a new block, false while execution
+    /// stays within the previously accessed block.
+    #[inline]
+    fn enters(&mut self, block: BlockAddr) -> bool {
+        if self.last_block == Some(block) {
+            return false;
+        }
+        self.last_block = Some(block);
+        true
+    }
+
     /// Registers a fetch at `block`: `None` while execution stays within
     /// the previously accessed block, `Some(hit)` on the first touch of a
     /// new block.
     #[inline]
     fn access(&mut self, block: BlockAddr) -> Option<bool> {
-        if self.last_block == Some(block) {
-            return None;
-        }
-        self.last_block = Some(block);
-        Some(self.l1i.access(block))
+        self.enters(block).then(|| self.l1i.access(block))
     }
 
     fn fill(&mut self, block: BlockAddr) -> Option<BlockAddr> {
@@ -172,6 +179,74 @@ impl BlockResidency {
 
     fn contains(&self, block: BlockAddr) -> bool {
         self.l1i.contains(block)
+    }
+}
+
+/// The fetch side of the coverage harness: the L1-I and, when enabled,
+/// the SHIFT prefetcher, with fills and evictions reported to the BTB.
+struct FetchSide<'p> {
+    program: &'p Program,
+    residency: BlockResidency,
+    shift: Option<(ShiftHistory, ShiftEngine)>,
+    prefetches: Vec<BlockAddr>,
+}
+
+impl FetchSide<'_> {
+    /// Steps 2 and 3 of [`run_coverage`] for the first touch of `block`.
+    ///
+    /// Kept out of line: it runs once per block touch, and inlined into the
+    /// per-record loop it makes that loop slower for every record.
+    #[inline(never)]
+    fn touch(
+        &mut self,
+        btb: &mut dyn BtbDesign,
+        block: BlockAddr,
+        measuring: bool,
+        result: &mut CoverageResult,
+    ) {
+        let FetchSide {
+            program,
+            residency,
+            shift,
+            prefetches,
+        } = self;
+        let hit = residency.l1i.access(block);
+        if measuring {
+            result.l1i_accesses += 1;
+            if !hit {
+                result.l1i_misses += 1;
+            }
+        }
+        if !hit {
+            fill(program, residency, btb, block);
+        }
+        if let Some((history, engine)) = shift {
+            prefetches.clear();
+            engine.on_access(history, block, !hit, prefetches);
+            for &p in prefetches.iter() {
+                if !residency.contains(p) {
+                    if measuring {
+                        result.prefetch_fills += 1;
+                    }
+                    fill(program, residency, btb, p);
+                }
+            }
+            history.record(block);
+        }
+    }
+}
+
+/// Fills `block` into the L1-I, with the predecode and eviction hooks
+/// wired to the BTB.
+fn fill(
+    program: &Program,
+    residency: &mut BlockResidency,
+    btb: &mut dyn BtbDesign,
+    block: BlockAddr,
+) {
+    btb.on_l1i_fill(block, program.branches_in_block(block));
+    if let Some(evicted) = residency.fill(block) {
+        btb.on_l1i_evict(evicted);
     }
 }
 
@@ -198,19 +273,26 @@ pub fn run_coverage(
 ///
 /// The default entry point runs the compiled fast path; this variant lets
 /// the experiment engine (and the equivalence harness) pick the path.
-pub fn run_coverage_mode<B: BtbDesign + ?Sized>(
+pub fn run_coverage_mode(
     program: &Program,
-    btb: &mut B,
+    btb: &mut dyn BtbDesign,
     opts: &CoverageOptions,
     mode: ExecMode,
 ) -> CoverageResult {
     let mut result = CoverageResult::default();
     let mut stream = program.stream(opts.seed, mode);
     let l1i = L1ICache::with_capacity_kb(opts.l1i_kb).expect("valid L1-I capacity");
-    let mut residency = BlockResidency::new(l1i);
-    let mut history = ShiftHistory::with_capacity(opts.history_entries);
-    let mut engine = ShiftEngine::with_lookahead(opts.shift_lookahead);
-    let mut prefetches: Vec<BlockAddr> = Vec::with_capacity(32);
+    let mut fetch = FetchSide {
+        program,
+        residency: BlockResidency::new(l1i),
+        shift: opts.use_shift.then(|| {
+            (
+                ShiftHistory::with_capacity(opts.history_entries),
+                ShiftEngine::with_lookahead(opts.shift_lookahead),
+            )
+        }),
+        prefetches: Vec::with_capacity(32),
+    };
 
     let mut bb_start: Option<VAddr> = None;
     let total = opts.warmup_instrs + opts.measure_instrs;
@@ -227,38 +309,10 @@ pub fn run_coverage_mode<B: BtbDesign + ?Sized>(
         // 1. BPU-side lookup, ahead of the fetch stream.
         let outcome = r.branch.map(|_| btb.lookup(bb, r.pc));
 
-        // 2. Fetch-side block access.
+        // 2.–3. Fetch-side block access and stream prefetching.
         let block = r.pc.block();
-        if let Some(hit) = residency.access(block) {
-            if measuring {
-                result.l1i_accesses += 1;
-                if !hit {
-                    result.l1i_misses += 1;
-                }
-            }
-            if !hit {
-                btb.on_l1i_fill(block, program.branches_in_block(block));
-                if let Some(evicted) = residency.fill(block) {
-                    btb.on_l1i_evict(evicted);
-                }
-            }
-            // 3. Stream prefetching.
-            if opts.use_shift {
-                prefetches.clear();
-                engine.on_access(&history, block, !hit, &mut prefetches);
-                for &p in &prefetches {
-                    if !residency.contains(p) {
-                        if measuring {
-                            result.prefetch_fills += 1;
-                        }
-                        btb.on_l1i_fill(p, program.branches_in_block(p));
-                        if let Some(evicted) = residency.fill(p) {
-                            btb.on_l1i_evict(evicted);
-                        }
-                    }
-                }
-                history.record(block);
-            }
+        if fetch.residency.enters(block) {
+            fetch.touch(btb, block, measuring, &mut result);
         }
 
         // 4. Resolve and train.
