@@ -69,6 +69,61 @@ impl HistoryEntry {
     }
 }
 
+/// Blocks per [`BlockIndex`] page (32 KB of code).
+const INDEX_PAGE_BLOCKS: u64 = 512;
+/// An empty [`BlockIndex`] slot.
+const NOT_INDEXED: u64 = u64::MAX;
+
+/// SHIFT's index table: block address -> sequence number, exact.
+///
+/// Slots are grouped into pages of consecutive blocks, allocated on first
+/// use, so the mostly sequential instruction stream keeps touching the
+/// same few cache lines instead of scattering over a hash table.
+#[derive(Clone, Debug, Default)]
+struct BlockIndex {
+    pages: IntMap<u64, Box<[u64]>>,
+}
+
+impl BlockIndex {
+    #[inline]
+    fn slot(block: BlockAddr) -> (u64, usize) {
+        (
+            block.raw() / INDEX_PAGE_BLOCKS,
+            (block.raw() % INDEX_PAGE_BLOCKS) as usize,
+        )
+    }
+
+    #[inline]
+    fn get(&self, block: BlockAddr) -> Option<u64> {
+        let (page, i) = Self::slot(block);
+        let seq = self.pages.get(&page)?[i];
+        (seq != NOT_INDEXED).then_some(seq)
+    }
+
+    #[inline]
+    fn set(&mut self, block: BlockAddr, seq: u64) {
+        let (page, i) = Self::slot(block);
+        self.pages
+            .entry(page)
+            .or_insert_with(|| vec![NOT_INDEXED; INDEX_PAGE_BLOCKS as usize].into())[i] = seq;
+    }
+
+    /// Empties `block`'s slot if it still holds `seq`.
+    #[inline]
+    fn clear_if(&mut self, block: BlockAddr, seq: u64) {
+        let (page, i) = Self::slot(block);
+        if let Some(slots) = self.pages.get_mut(&page) {
+            if slots[i] == seq {
+                slots[i] = NOT_INDEXED;
+            }
+        }
+    }
+
+    fn clear(&mut self) {
+        self.pages.clear();
+    }
+}
+
 /// The shared history: circular buffer + index table.
 ///
 /// One instance exists per workload and is shared by all cores (the paper
@@ -79,10 +134,8 @@ pub struct ShiftHistory {
     /// Monotonically increasing sequence number of the next write.
     head_seq: u64,
     /// Block address -> most recent sequence number of an entry covering
-    /// it. It grows with the distinct blocks seen, up to
-    /// (1 + [`FOOTPRINT_SPAN`]) x capacity live entries; it is not
-    /// pre-sized to that bound, which is far above typical working sets.
-    index: IntMap<BlockAddr, u64>,
+    /// it.
+    index: BlockIndex,
     capacity: usize,
     last_recorded: Option<BlockAddr>,
 }
@@ -103,7 +156,7 @@ impl ShiftHistory {
         ShiftHistory {
             buffer: vec![HistoryEntry::default(); capacity],
             head_seq: 0,
-            index: IntMap::default(),
+            index: BlockIndex::default(),
             capacity,
             last_recorded: None,
         }
@@ -124,7 +177,7 @@ impl ShiftHistory {
         // block the entry already covers is a *temporal recurrence* and
         // must start a fresh entry, or replay ordering would be lost.
         if self.head_seq > 0 {
-            let open_pos = ((self.head_seq - 1) % self.capacity as u64) as usize;
+            let open_pos = self.slot(self.head_seq - 1);
             let open = &mut self.buffer[open_pos];
             let delta = block.raw().wrapping_sub(open.base.raw());
             if delta == 0 && open.mask == 0 {
@@ -132,11 +185,11 @@ impl ShiftHistory {
             }
             if (1..=FOOTPRINT_SPAN).contains(&delta) && open.mask & (1 << (delta - 1)) == 0 {
                 open.mask |= 1 << (delta - 1);
-                self.index.insert(block, self.head_seq - 1);
+                self.index.set(block, self.head_seq - 1);
                 return;
             }
         }
-        let pos = (self.head_seq % self.capacity as u64) as usize;
+        let pos = self.slot(self.head_seq);
         // Lazily drop index entries of the overwritten slot if they still
         // point at it.
         if self.head_seq >= self.capacity as u64 {
@@ -144,16 +197,14 @@ impl ShiftHistory {
             let old_seq = self.head_seq - self.capacity as u64;
             for k in 0..=old.mask.count_ones() as usize {
                 let b = old.nth(k).expect("k counts covered blocks");
-                if self.index.get(&b) == Some(&old_seq) {
-                    self.index.remove(&b);
-                }
+                self.index.clear_if(b, old_seq);
             }
         }
         self.buffer[pos] = HistoryEntry {
             base: block,
             mask: 0,
         };
-        self.index.insert(block, self.head_seq);
+        self.index.set(block, self.head_seq);
         self.head_seq += 1;
     }
 
@@ -171,7 +222,7 @@ impl ShiftHistory {
     /// cursor pointing at the remainder of that entry's footprint and the
     /// entries that follow.
     pub fn lookup(&self, block: BlockAddr) -> Option<StreamCursor> {
-        let seq = *self.index.get(&block)?;
+        let seq = self.index.get(block)?;
         if !self.seq_valid(seq) {
             return None;
         }
@@ -193,7 +244,7 @@ impl ShiftHistory {
             if seq >= self.head_seq || !self.seq_valid(seq) {
                 return None;
             }
-            let entry = self.buffer[(seq % self.capacity as u64) as usize];
+            let entry = self.buffer[self.slot(seq)];
             // Walk the entry's covered blocks from the cursor's offset.
             let start = match cursor.skip_through {
                 Some(after) => entry.position(after).map_or(0, |p| p + 1),
@@ -207,6 +258,17 @@ impl ShiftHistory {
             cursor.next_seq += 1;
             cursor.offset = 0;
             cursor.skip_through = None;
+        }
+    }
+
+    /// Buffer position of sequence number `seq` (a mask for the usual
+    /// power-of-two capacities instead of a division).
+    #[inline]
+    fn slot(&self, seq: u64) -> usize {
+        if self.capacity.is_power_of_two() {
+            seq as usize & (self.capacity - 1)
+        } else {
+            (seq % self.capacity as u64) as usize
         }
     }
 
@@ -378,7 +440,13 @@ impl ShiftEngine {
             match history.read(cursor) {
                 Some(b) => {
                     // Collapse blocks already predicted and pending.
-                    if !self.pending.contains(&b) {
+                    // (Compared without early exit, so it vectorizes.)
+                    let (front, back) = self.pending.as_slices();
+                    let pending = front
+                        .iter()
+                        .chain(back)
+                        .fold(false, |seen, &p| seen | (p == b));
+                    if !pending {
                         self.pending.push_back(b);
                         out.push(b);
                         self.issued += 1;

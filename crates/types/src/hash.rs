@@ -46,19 +46,3 @@ impl BuildHasher for BuildIntHasher {
         IntHasher(0)
     }
 }
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn int_map_is_exact_for_colliding_low_bits() {
-        // Keys that agree in their low bits still map to distinct entries.
-        let mut m: IntMap<u64, u64> = IntMap::default();
-        for i in 0..1000u64 {
-            m.insert(i << 32, i);
-        }
-        assert_eq!(m.len(), 1000);
-        assert!((0..1000u64).all(|i| m[&(i << 32)] == i));
-    }
-}
