@@ -594,7 +594,7 @@ mod tests {
     #[test]
     fn double_fill_then_evict_sweeps_exactly_that_blocks_spills() {
         let mut btb = AirBtb::new(AirBtbMode::Full, 512, 3, 32);
-        let first = BlockAddr::from_raw(0x100);
+        let first = BlockAddr::from_raw(0x41); // the next block over
         let twice = BlockAddr::from_raw(0x40);
         btb.on_l1i_fill(first, &branches_5());
         btb.on_l1i_fill(twice, &branches_5());

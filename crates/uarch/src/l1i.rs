@@ -96,7 +96,7 @@ impl L1ICache {
         self.misses
     }
 
-    /// Misses per kilo-access.
+    /// Fraction of demand accesses that missed (0.0 before any access).
     pub fn miss_ratio(&self) -> f64 {
         let total = self.hits + self.misses;
         if total == 0 {
