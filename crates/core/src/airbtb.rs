@@ -319,8 +319,7 @@ impl AirBtb {
         let Some(oracle) = self.oracle.clone() else {
             return;
         };
-        let branches: Vec<PredecodedBranch> = oracle.branches_in_block(block).to_vec();
-        let bundle = self.build_bundle(block, &branches);
+        let bundle = self.build_bundle(block, oracle.branches_in_block(block));
         self.install_bundle(block, bundle);
     }
 
