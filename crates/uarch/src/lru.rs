@@ -43,9 +43,10 @@ impl<V> LruBuffer<V> {
     ///
     /// # Panics
     ///
-    /// Panics if `ways` is zero.
+    /// Panics if `ways` is zero or does not fit the `u32` recency links.
     pub fn new(ways: usize) -> Self {
         assert!(ways > 0, "an LRU buffer needs at least one way");
+        assert!(ways < NIL as usize, "recency links are u32 slot indices");
         LruBuffer {
             keys: Vec::with_capacity(ways),
             values: Vec::with_capacity(ways),
@@ -55,16 +56,6 @@ impl<V> LruBuffer<V> {
             tail: NIL,
             ways,
         }
-    }
-
-    /// Number of resident lines.
-    pub fn len(&self) -> usize {
-        self.keys.len()
-    }
-
-    /// True if no lines are resident.
-    pub fn is_empty(&self) -> bool {
-        self.keys.is_empty()
     }
 
     #[inline]
