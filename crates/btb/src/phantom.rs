@@ -94,7 +94,7 @@ impl PhantomBtb {
         Ok(PhantomBtb {
             l1: ConventionalBtb::new("PhantomBTB-L1", l1_entries, 4, 0)?,
             prefetch_buffer: LruBuffer::new(prefetch_entries.max(1)),
-            group_log: VecDeque::with_capacity(GROUP_TABLE_LINES),
+            group_log: VecDeque::new(),
             log_head: 0,
             index: SetAssocCache::new(GROUP_TABLE_LINES / 4, 4)?,
             forming: Vec::with_capacity(GROUP_ENTRIES),
