@@ -94,6 +94,8 @@ impl PhantomBtb {
         Ok(PhantomBtb {
             l1: ConventionalBtb::new("PhantomBTB-L1", l1_entries, 4, 0)?,
             prefetch_buffer: LruBuffer::new(prefetch_entries.max(1)),
+            // Grows as groups form: area profiles build PhantomBTBs only
+            // to read their storage, and a full log is 576 KiB.
             group_log: VecDeque::new(),
             log_head: 0,
             index: SetAssocCache::new(GROUP_TABLE_LINES / 4, 4)?,
