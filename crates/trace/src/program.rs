@@ -718,12 +718,17 @@ impl Builder {
             // Open every block up to and including this branch's.
             let block = (pc.block().raw() - first_block) as usize;
             while starts.len() <= block {
-                starts.push(branches.len() as u32);
+                starts.push(start_of_next(&branches));
             }
+            assert_eq!(
+                starts.len(),
+                block + 1,
+                "blocks are laid out in address order"
+            );
             branches.push(branch);
         }
         while starts.len() <= blocks {
-            starts.push(branches.len() as u32);
+            starts.push(start_of_next(&branches));
         }
         PredecodeTable {
             first_block,
@@ -731,6 +736,11 @@ impl Builder {
             branches,
         }
     }
+}
+
+/// Index the next predecoded branch will take in the flat branch array.
+fn start_of_next(branches: &[PredecodedBranch]) -> u32 {
+    u32::try_from(branches.len()).expect("fewer than 2^32 static branches")
 }
 
 fn predecode_block_span(base: u64, end: u64) -> usize {
