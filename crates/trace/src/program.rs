@@ -821,6 +821,20 @@ mod tests {
                 .unwrap_or_else(|| panic!("missing predecode entry for branch at {pc}"));
             assert_eq!(found.kind, kind);
         }
+        // Nothing else: the code blocks hold exactly the terminators, and
+        // blocks just outside the code region hold none.
+        let first = CODE_BASE >> 6;
+        let span = p.stats().code_blocks as u64;
+        let total: usize = (first - 1..=first + span)
+            .map(|b| p.branches_in_block(BlockAddr::from_raw(b)).len())
+            .sum();
+        assert_eq!(total, p.stats().static_branches);
+        assert!(p
+            .branches_in_block(BlockAddr::from_raw(first - 1))
+            .is_empty());
+        assert!(p
+            .branches_in_block(BlockAddr::from_raw(first + span))
+            .is_empty());
     }
 
     #[test]
