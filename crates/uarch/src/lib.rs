@@ -1,11 +1,12 @@
 //! Microarchitectural substrates for the Confluence reproduction.
 //!
 //! This crate provides the structures every frontend design in the paper is
-//! built from: a generic set-associative cache, the L1 instruction cache,
-//! the shared NUCA LLC with predictor-virtualization reservations, the
-//! 2D-mesh NoC latency model, MSHRs, the hybrid branch direction predictor,
-//! the indirect target cache, the return-address stack, the predecoder, and
-//! the Table 1 parameter sets.
+//! built from: a generic set-associative cache, a small fully-associative
+//! LRU buffer (the BTBs' victim, prefetch and overflow buffers), the L1
+//! instruction cache, the shared NUCA LLC with predictor-virtualization
+//! reservations, the 2D-mesh NoC latency model, MSHRs, the hybrid branch
+//! direction predictor, the indirect target cache, the return-address
+//! stack, the predecoder, and the Table 1 parameter sets.
 //!
 //! # Example
 //!
