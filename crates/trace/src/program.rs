@@ -215,9 +215,10 @@ struct PredecodeTable {
 impl PredecodeTable {
     #[inline]
     fn branches_in_block(&self, block: BlockAddr) -> &[PredecodedBranch] {
+        // Blocks below the region wrap to huge indices and miss too.
         let i = block.raw().wrapping_sub(self.first_block) as usize;
-        match (self.starts.get(i), self.starts.get(i + 1)) {
-            (Some(&lo), Some(&hi)) => &self.branches[lo as usize..hi as usize],
+        match self.starts.get(i..).and_then(|s| s.get(..2)) {
+            Some(&[lo, hi]) => &self.branches[lo as usize..hi as usize],
             _ => &[],
         }
     }
