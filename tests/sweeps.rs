@@ -276,24 +276,17 @@ fn sweep_studies_match_goldens_hold_properties_and_rerun_warm() {
 #[test]
 fn coverage_figures_match_goldens() {
     type Figure = fn(&SimEngine, &ExperimentConfig) -> Report;
-    type Jobs = fn(&SimEngine, &ExperimentConfig) -> Vec<confluence::sim::Job>;
-    let figures: [(&str, Jobs, Figure); 6] = [
-        ("fig1", experiments::fig1_jobs, experiments::fig1),
-        ("fig8", experiments::fig8_jobs, experiments::fig8),
-        ("fig9", experiments::fig9_jobs, experiments::fig9),
-        ("fig10", experiments::fig10_jobs, experiments::fig10),
-        (
-            "l1i-coverage",
-            experiments::l1i_coverage_jobs,
-            experiments::l1i_coverage,
-        ),
-        ("table2", experiments::table2_jobs, experiments::table2),
+    let figures: [(&str, Figure); 6] = [
+        ("fig1", experiments::fig1),
+        ("fig8", experiments::fig8),
+        ("fig9", experiments::fig9),
+        ("fig10", experiments::fig10),
+        ("l1i-coverage", experiments::l1i_coverage),
+        ("table2", experiments::table2),
     ];
     let cfg = ExperimentConfig::quick();
     let engine = golden_engine(&cfg);
-    let jobs: Vec<_> = figures.iter().flat_map(|f| f.1(&engine, &cfg)).collect();
-    engine.run(&jobs);
-    for (name, _, figure) in figures {
+    for (name, figure) in figures {
         check_golden(name, &figure(&engine, &cfg).to_csv());
     }
 }
