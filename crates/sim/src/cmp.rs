@@ -111,21 +111,6 @@ impl TimingResult {
         self.mean(|s| s.pki(s.l1i_misses))
     }
 
-    /// Mean misfetches per kilo-instruction.
-    pub fn misfetch_pki(&self) -> f64 {
-        self.mean(|s| s.pki(s.misfetches))
-    }
-
-    /// Mean direction/indirect mispredict flushes per kilo-instruction.
-    pub fn mispredict_pki(&self) -> f64 {
-        self.mean(|s| s.pki(s.mispredicts))
-    }
-
-    /// Mean exposed second-level BTB bubble cycles per kilo-instruction.
-    pub fn l2_bubble_cpki(&self) -> f64 {
-        self.mean(|s| s.pki(s.l2_bubble_cycles))
-    }
-
     fn mean(&self, f: impl Fn(&CoreStats) -> f64) -> f64 {
         let sum: f64 = self.per_core.iter().map(&f).sum();
         sum / self.per_core.len() as f64

@@ -14,12 +14,10 @@
 //! results; `engine_determinism` in the integration suite asserts this.
 //!
 //! Scheduling is **cost-aware**: batches start their most expensive jobs
-//! first ([`Job::cost_hint`] — CMP timing runs dwarf everything else),
-//! and a timing run that begins while pool slots sit idle borrows them
-//! as core shards (`crate::cmp::simulate_cmp_with_shards_mode`), so a thin
-//! batch or a batch's tail parallelizes *inside* the job instead of
-//! leaving workers parked. Lending never changes results — the two-phase
-//! tick is byte-identical at any shard count.
+//! first ([`Job::cost_hint`] — CMP timing runs dwarf everything else).
+//! Parallelism is across jobs only: each job runs start to finish on the
+//! one worker that claimed it, so a CMP timing run steps its cores on a
+//! single thread.
 //!
 //! With a [`ResultStore`] attached ([`SimEngine::with_store`]) the cache
 //! grows a second, persistent tier: a claimed key consults **memory →
@@ -134,15 +132,6 @@ pub struct SimEngine {
     remote_hits: AtomicU64,
     remote_round_trips: AtomicU64,
     remote_bytes: AtomicU64,
-    /// Jobs currently being served (executing or loading from disk),
-    /// across the worker pool and direct callers. The pool's width minus
-    /// this count is the engine's idle capacity — the workers a CMP
-    /// timing job may borrow as core shards.
-    in_flight: AtomicUsize,
-    /// Pool slots currently lent out as core shards. Claims serialize
-    /// through this counter so concurrent timing jobs split the idle
-    /// capacity instead of each taking all of it.
-    lent: AtomicUsize,
 }
 
 impl SimEngine {
@@ -169,8 +158,6 @@ impl SimEngine {
             remote_hits: AtomicU64::new(0),
             remote_round_trips: AtomicU64::new(0),
             remote_bytes: AtomicU64::new(0),
-            in_flight: AtomicUsize::new(0),
-            lent: AtomicUsize::new(0),
         }
     }
 
@@ -308,9 +295,8 @@ impl SimEngine {
         }
         // Most-expensive first: a CMP timing run started last would pin
         // the batch's tail to a single worker, while one started first
-        // overlaps with the swarm of cheap coverage/density jobs (and the
-        // true tail inherits the pool as core shards). The sort is stable,
-        // so equal-cost jobs keep their declaration order.
+        // overlaps with the swarm of cheap coverage/density jobs. The sort
+        // is stable, so equal-cost jobs keep their declaration order.
         unique.sort_by_key(|job| std::cmp::Reverse(job.cost_hint()));
         let workers = self.threads.min(unique.len()).max(1);
         if workers == 1 {
@@ -403,7 +389,6 @@ impl SimEngine {
             // included, since `store_key`/`program` can panic too — so
             // racing waiters on this key re-panic instead of blocking
             // forever on a slot that will never fill.
-            let _serving = InFlightGuard::enter(&self.in_flight);
             let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 match self.load_from_store(job) {
                     Some(out) => (out, true),
@@ -693,13 +678,8 @@ impl SimEngine {
             }
             Job::Timing(t) => {
                 let program = self.program(t.workload);
-                let lease = self.borrow_idle_slots();
                 JobOutput::Timing(Arc::new(simulate_cmp_with_shards_mode(
-                    program,
-                    t.design,
-                    &t.cfg,
-                    1 + lease.extra,
-                    self.mode,
+                    program, t.design, &t.cfg, 1, self.mode,
                 )))
             }
             Job::Density(d) => {
@@ -708,63 +688,6 @@ impl SimEngine {
                 JobOutput::Density(s, dy)
             }
         }
-    }
-
-    /// Claims the pool's currently idle slots for one CMP timing run's
-    /// core shards, returning a lease that gives them back on drop.
-    /// During a wide batch there is nothing to claim (job-grain
-    /// parallelism already saturates the pool); in a thin batch or at a
-    /// batch's tail the idle workers go to the run instead of waiting it
-    /// out. Claims serialize through the `lent` counter, so concurrent
-    /// borrowers split the idle capacity instead of each taking all of
-    /// it; the `in_flight` snapshot is still racy, but a stale read only
-    /// costs a transient slot of oversubscription, never correctness —
-    /// results are shard-count-invariant, and a 1-thread engine always
-    /// lends nothing, keeping the serial reference path truly serial.
-    fn borrow_idle_slots(&self) -> ShardLease<'_> {
-        let busy = self.in_flight.load(Ordering::Relaxed).max(1);
-        let mut extra = 0;
-        let _ = self
-            .lent
-            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |lent| {
-                extra = self.threads.saturating_sub(busy + lent);
-                (extra > 0).then_some(lent + extra)
-            });
-        ShardLease {
-            counter: &self.lent,
-            extra,
-        }
-    }
-}
-
-/// RAII claim on lent pool slots; gives them back when the timing run
-/// completes.
-struct ShardLease<'a> {
-    counter: &'a AtomicUsize,
-    extra: usize,
-}
-
-impl Drop for ShardLease<'_> {
-    fn drop(&mut self) {
-        if self.extra > 0 {
-            self.counter.fetch_sub(self.extra, Ordering::Relaxed);
-        }
-    }
-}
-
-/// RAII increment of the engine's in-flight job count.
-struct InFlightGuard<'a>(&'a AtomicUsize);
-
-impl<'a> InFlightGuard<'a> {
-    fn enter(counter: &'a AtomicUsize) -> Self {
-        counter.fetch_add(1, Ordering::Relaxed);
-        InFlightGuard(counter)
-    }
-}
-
-impl Drop for InFlightGuard<'_> {
-    fn drop(&mut self) {
-        self.0.fetch_sub(1, Ordering::Relaxed);
     }
 }
 
@@ -1037,29 +960,6 @@ mod tests {
         assert_eq!(stats.disk_hits, 1);
         assert_eq!(stats.executed, 1);
         assert_eq!(mixed.store().unwrap().len(), 2);
-    }
-
-    /// Concurrent timing jobs must *split* the pool's idle capacity, not
-    /// each claim all of it (which would oversubscribe the host with
-    /// spin-barrier shard threads for the length of every run).
-    #[test]
-    fn shard_lending_splits_idle_capacity() {
-        let engine = tiny_engine().with_threads(8);
-        engine.in_flight.store(3, Ordering::Relaxed);
-        let a = engine.borrow_idle_slots();
-        let b = engine.borrow_idle_slots();
-        assert_eq!(a.extra, 5, "first borrower takes the idle capacity");
-        assert_eq!(b.extra, 0, "second borrower must not double-claim");
-        drop(a);
-        let c = engine.borrow_idle_slots();
-        assert_eq!(c.extra, 5, "a dropped lease returns its slots");
-        drop(c);
-        drop(b);
-        assert_eq!(engine.lent.load(Ordering::Relaxed), 0);
-        // A 1-thread engine never lends: the serial path stays serial.
-        let serial = tiny_engine().with_threads(1);
-        serial.in_flight.store(1, Ordering::Relaxed);
-        assert_eq!(serial.borrow_idle_slots().extra, 0);
     }
 
     /// The on-disk warm-artifact file for a tiny engine's workload.

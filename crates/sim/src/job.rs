@@ -179,8 +179,7 @@ impl Job {
     /// keeps them behind every timing job without pretending the model
     /// can rank them finely. Only the *ordering* matters: the engine
     /// starts expensive jobs first so the batch never ends with one long
-    /// timing run hogging a single worker (and when one does run last,
-    /// the idle workers are lent to it as core shards).
+    /// timing run hogging a single worker.
     pub fn cost_hint(&self) -> u64 {
         match self {
             Job::Timing(t) => {

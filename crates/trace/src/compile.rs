@@ -1377,12 +1377,6 @@ impl<'c> CompiledExecutor<'c> {
             left -= 1;
         }
     }
-
-    /// Appends the next `n` records to `out`.
-    pub fn fill_records(&mut self, out: &mut Vec<TraceRecord>, n: usize) {
-        out.reserve(n);
-        self.for_each_record(n as u64, |r| out.push(r));
-    }
 }
 
 impl Iterator for CompiledExecutor<'_> {

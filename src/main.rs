@@ -110,9 +110,9 @@ const SUBCOMMANDS: &[Subcommand] = &[
         run: Run::Main(|args| println!("{}", args.render(&experiments::area_table()))),
     },
     // The three timing figures in one batch, so the Baseline and every
-    // design point they share is simulated once. Pure CMP timing work —
-    // the job class shard lending exists for — so `--compare-serial` here
-    // measures the two-phase tick's intra-job speedup specifically.
+    // design point they share is simulated once. Pure CMP timing work, so
+    // `--compare-serial` here measures job-level parallelism over timing
+    // jobs alone.
     Subcommand {
         name: "timing-figs",
         surface: ENGINE,

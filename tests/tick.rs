@@ -10,9 +10,9 @@
 //! 2. **Contention stress** — many OS threads running sharded simulations
 //!    of the same program concurrently (each spawning its own shard
 //!    workers) all agree with the serial reference.
-//! 3. **Engine-level lending** — an engine that lends idle workers to
-//!    timing jobs as core shards renders byte-identical results to a
-//!    fully serial engine, and schedules expensive jobs without breaking
+//! 3. **Engine-level parallelism** — a wide engine running timing jobs
+//!    in parallel, one worker per job, renders byte-identical results to
+//!    a fully serial engine, and schedules expensive jobs without breaking
 //!    the exactly-once contract.
 
 use confluence::sim::{
@@ -124,13 +124,12 @@ fn concurrent_sharded_runs_agree_with_serial() {
     });
 }
 
-/// The engine's cost-aware scheduling and shard lending end-to-end: a
-/// wide engine running a timing-heavy batch (where lending kicks in at
-/// the tail and for direct fetches) must agree byte-for-byte with a
-/// serial engine, keep the exactly-once contract, and rank timing jobs
-/// as the expensive ones.
+/// The engine's cost-aware scheduling and job-level parallelism
+/// end-to-end: a wide engine running a timing-heavy batch must agree
+/// byte-for-byte with a serial engine, keep the exactly-once contract,
+/// and rank timing jobs as the expensive ones.
 #[test]
-fn lending_engine_matches_serial_engine() {
+fn wide_engine_matches_serial_engine() {
     let cfg = experiments::ExperimentConfig::quick();
     let workloads: Vec<_> = cfg.workloads().into_iter().take(1).collect();
     let designs = [
@@ -161,18 +160,18 @@ fn lending_engine_matches_serial_engine() {
         );
     }
 
-    let lending = SimEngine::new(workloads.clone()).with_threads(4);
+    let wide = SimEngine::new(workloads.clone()).with_threads(4);
     let serial = SimEngine::new(workloads).with_threads(1);
-    lending.run(&jobs);
+    wide.run(&jobs);
     serial.run(&jobs);
-    assert_eq!(lending.stats().executed, jobs.len() as u64);
+    assert_eq!(wide.stats().executed, jobs.len() as u64);
     assert_eq!(serial.stats().executed, jobs.len() as u64);
     for job in &jobs {
         let Job::Timing(t) = job else { unreachable!() };
         assert_eq!(
-            lending.timing(t),
+            wide.timing(t),
             serial.timing(t),
-            "lending must never change a timing result"
+            "parallel execution must never change a timing result"
         );
     }
 }
