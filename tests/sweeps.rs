@@ -17,7 +17,8 @@
 //!    every core count, and BTB MPKI never rises with capacity.
 //!
 //! The coverage figures (Figures 1, 8, 9, 10, L1-I coverage and Table 2)
-//! ride the same golden harness, pinned at `tests/goldens/<figure>.csv`.
+//! and the timing figures (Figures 2, 6 and 7) ride the same golden
+//! harness, pinned at `tests/goldens/<figure>.csv`.
 //!
 //! The engine-contention stress test at the bottom closes PR 1's open
 //! item: the original container was single-core, so the exactly-once
@@ -269,15 +270,20 @@ fn sweep_studies_match_goldens_hold_properties_and_rerun_warm() {
 }
 
 /// The coverage figures (Figures 1, 8, 9, 10, the L1-I coverage table
-/// and Table 2) pinned the same way as the sweep studies. These are the
-/// outputs of the BTB, AirBTB, PhantomBTB, L1-I and SHIFT models'
-/// functional path, so a layout change to any of those structures must
-/// leave every byte here unchanged.
+/// and Table 2) and the timing figures (Figures 2, 6 and 7) pinned the
+/// same way as the sweep studies. The coverage figures are the outputs
+/// of the BTB, AirBTB, PhantomBTB, L1-I and SHIFT models' functional
+/// path and the timing figures those of the CMP timing model, so a
+/// layout change to any of those structures must leave every byte here
+/// unchanged.
 #[test]
-fn coverage_figures_match_goldens() {
+fn figures_match_goldens() {
     type Figure = fn(&SimEngine, &ExperimentConfig) -> Report;
-    let figures: [(&str, Figure); 6] = [
+    let figures: [(&str, Figure); 9] = [
         ("fig1", experiments::fig1),
+        ("fig2", experiments::fig2),
+        ("fig6", experiments::fig6),
+        ("fig7", experiments::fig7),
         ("fig8", experiments::fig8),
         ("fig9", experiments::fig9),
         ("fig10", experiments::fig10),
