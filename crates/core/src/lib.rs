@@ -1,12 +1,13 @@
-//! The paper's primary contribution: **AirBTB** and the **Confluence**
-//! unified instruction-supply frontend.
+//! The paper's primary contribution: **AirBTB**, the block-grain BTB of
+//! the **Confluence** unified instruction-supply frontend.
 //!
 //! Confluence's observation: the L1-I prefetcher and the BTB both need the
 //! same control-flow history, differing only in granularity (blocks vs
 //! individual branches). [`AirBtb`] bridges the gap with a block-grain BTB
-//! whose contents mirror the L1-I, and [`ConfluenceFrontend`] wires it to a
-//! SHIFT stream prefetcher so one LLC-virtualized history fills both
-//! structures ahead of the fetch stream.
+//! whose contents mirror the L1-I, so one LLC-virtualized SHIFT history
+//! fills both structures ahead of the fetch stream. This crate holds
+//! AirBTB only; the simulator crate wires it to the L1-I and SHIFT on the
+//! coverage and timing paths.
 //!
 //! # Example
 //!
@@ -24,9 +25,7 @@
 #![warn(missing_docs)]
 
 mod airbtb;
-mod frontend;
 
 pub use airbtb::{
     AirBtb, AirBtbMode, DEFAULT_BUNDLES, DEFAULT_BUNDLE_ENTRIES, DEFAULT_OVERFLOW_ENTRIES,
 };
-pub use frontend::ConfluenceFrontend;

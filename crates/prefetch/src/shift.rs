@@ -118,10 +118,6 @@ impl BlockIndex {
             }
         }
     }
-
-    fn clear(&mut self) {
-        self.pages.clear();
-    }
 }
 
 /// The shared history: circular buffer + index table.
@@ -289,13 +285,6 @@ impl ShiftHistory {
         StorageProfile::empty()
             .with_llc_resident(history_bytes)
             .with_llc_tag_extension(index_bytes)
-    }
-
-    /// Clears all recorded history.
-    pub fn reset(&mut self) {
-        self.head_seq = 0;
-        self.index.clear();
-        self.last_recorded = None;
     }
 }
 
@@ -473,15 +462,6 @@ impl ShiftEngine {
     /// Stream re-index events (off-stream misses).
     pub fn redirects(&self) -> u64 {
         self.redirects
-    }
-
-    /// Clears per-core stream state.
-    pub fn reset(&mut self) {
-        self.cursor = None;
-        self.pending.clear();
-        self.issued = 0;
-        self.confirmed = 0;
-        self.redirects = 0;
     }
 }
 
@@ -780,17 +760,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn reset_clears_history_and_engine() {
-        let mut h = ShiftHistory::with_capacity(8);
-        h.record(BlockAddr::from_raw(1));
-        h.reset();
-        assert!(h.is_empty());
-        assert!(h.lookup(BlockAddr::from_raw(1)).is_none());
-        let mut e = ShiftEngine::new();
-        e.reset();
-        assert_eq!(e.issued(), 0);
     }
 }

@@ -2,7 +2,7 @@
 //! paper's evaluation.
 
 use confluence_btb::{BtbDesign, ConventionalBtb, IdealBtb, PerfectBtb, PhantomBtb, TwoLevelBtb};
-use confluence_core::{AirBtb, AirBtbMode};
+use confluence_core::AirBtb;
 use confluence_prefetch::ShiftHistory;
 use confluence_types::StorageProfile;
 
@@ -136,21 +136,6 @@ impl DesignPoint {
             }
         }
     }
-
-    /// True if this design keeps AirBTB synchronized with the L1-I.
-    pub fn syncs_btb_with_l1i(self) -> bool {
-        matches!(self, DesignPoint::Confluence)
-    }
-}
-
-/// Builds an AirBTB ablation-ladder design (Figure 8).
-pub fn airbtb_ablation(mode: AirBtbMode) -> AirBtb {
-    AirBtb::new(
-        mode,
-        confluence_core::DEFAULT_BUNDLES,
-        confluence_core::DEFAULT_BUNDLE_ENTRIES,
-        confluence_core::DEFAULT_OVERFLOW_ENTRIES,
-    )
 }
 
 #[cfg(test)]
@@ -172,7 +157,6 @@ mod tests {
         assert_eq!(DesignPoint::Confluence.prefetch(), PrefetchScheme::Shift);
         assert!(DesignPoint::Ideal.perfect_l1i());
         assert!(DesignPoint::Confluence.predecodes_fills());
-        assert!(DesignPoint::Confluence.syncs_btb_with_l1i());
     }
 
     #[test]

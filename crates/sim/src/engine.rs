@@ -106,14 +106,13 @@ pub struct SimEngine {
     mode: ExecMode,
     cache: Mutex<HashMap<Job, Arc<Slot>>>,
     store: Option<ResultStore>,
-    /// Whether the store's warm-artifact tier is consulted/written. With
-    /// it on, the first job to *execute* against a workload first imports
-    /// that workload's persisted path-memo table (so even a cold process
-    /// replays from record zero), and [`SimEngine::persist_warm_artifacts`]
-    /// writes back whatever the run newly recorded.
-    warm_artifacts: bool,
     /// Workloads whose artifact load already happened (hit or miss) —
     /// the import is idempotent but the disk read is worth doing once.
+    /// With a store attached, the first job to *execute* against a
+    /// workload first imports that workload's persisted path-memo table
+    /// (so even a cold process replays from record zero), and
+    /// [`SimEngine::persist_warm_artifacts`] writes back whatever the run
+    /// newly recorded.
     warm_loaded: Mutex<HashSet<Workload>>,
     /// Artifact imports that actually loaded a table, over the engine's
     /// whole lifetime. Observability for the daemon's once-per-lifetime
@@ -147,7 +146,6 @@ impl SimEngine {
             mode: ExecMode::Compiled,
             cache: Mutex::new(HashMap::new()),
             store: None,
-            warm_artifacts: true,
             warm_loaded: Mutex::new(HashSet::new()),
             warm_imports: AtomicU64::new(0),
             peers: None,
@@ -207,21 +205,6 @@ impl SimEngine {
     /// The attached peer set, if any.
     pub fn peers(&self) -> Option<&PeerSet> {
         self.peers.as_ref()
-    }
-
-    /// Overrides whether the store's warm-artifact tier is used (on by
-    /// default). Like the exec mode, this only moves wall-clock time:
-    /// artifacts replay paths the executors would otherwise re-record,
-    /// bit for bit.
-    pub fn with_warm_artifacts(mut self, on: bool) -> Self {
-        self.warm_artifacts = on;
-        self
-    }
-
-    /// Whether the warm-artifact tier is enabled (it still needs an
-    /// attached store to do anything).
-    pub fn warm_artifacts(&self) -> bool {
-        self.warm_artifacts
     }
 
     /// The worker-pool width.
@@ -441,7 +424,6 @@ impl SimEngine {
         let (Some(peers), Some(store)) = (&self.peers, &self.store) else {
             return;
         };
-        let fingerprint = workloads_fingerprint(&self.workloads);
         // Unique jobs missing from both local tiers. Keys merely in
         // flight are skipped too: whoever claimed them is already
         // producing the result.
@@ -466,25 +448,18 @@ impl SimEngine {
             return;
         }
         let keys: Vec<Vec<u8>> = missing.iter().map(|(_, k)| k.clone()).collect();
-        let fetched = peers.fetch(fingerprint, Tier::Result, FETCH_HOP_LIMIT, &keys);
-        self.remote_round_trips
-            .fetch_add(fetched.round_trips, Ordering::Relaxed);
-        self.remote_bytes
-            .fetch_add(fetched.bytes, Ordering::Relaxed);
-        let mut unresolved: Vec<&Job> = Vec::new();
-        for ((job, key), entry) in missing.iter().zip(fetched.entries) {
-            match entry {
-                // adopt_raw re-verifies every byte; a lying peer's entry
-                // falls through to `unresolved` and re-simulates.
-                Some(data) if store.adopt_raw(key, &data, Tier::Result) => {
-                    self.remote_hits.fetch_add(1, Ordering::Relaxed);
-                }
-                _ => unresolved.push(job),
-            }
-        }
+        let promoted = self.fetch_and_promote(peers, store, Tier::Result, FETCH_HOP_LIMIT, &keys);
+        // A lying peer's entry fails re-verification, so its job stays
+        // unresolved and re-simulates.
+        let unresolved: Vec<&Job> = missing
+            .iter()
+            .zip(promoted)
+            .filter(|(_, entry)| entry.is_none())
+            .map(|((job, _), _)| *job)
+            .collect();
         // Warm artifacts only help jobs that will actually execute, so a
         // fully-served batch stops at exactly one round trip.
-        if !self.warm_artifacts || unresolved.is_empty() {
+        if unresolved.is_empty() {
             return;
         }
         let mut wl_seen = HashSet::new();
@@ -505,20 +480,8 @@ impl SimEngine {
                 }
             }
         }
-        if art_keys.is_empty() {
-            return;
-        }
-        let fetched = peers.fetch(fingerprint, Tier::Artifact, FETCH_HOP_LIMIT, &art_keys);
-        self.remote_round_trips
-            .fetch_add(fetched.round_trips, Ordering::Relaxed);
-        self.remote_bytes
-            .fetch_add(fetched.bytes, Ordering::Relaxed);
-        for (key, entry) in art_keys.iter().zip(fetched.entries) {
-            if let Some(data) = entry {
-                if store.adopt_raw(key, &data, Tier::Artifact) {
-                    self.remote_hits.fetch_add(1, Ordering::Relaxed);
-                }
-            }
+        if !art_keys.is_empty() {
+            self.fetch_and_promote(peers, store, Tier::Artifact, FETCH_HOP_LIMIT, &art_keys);
         }
     }
 
@@ -543,21 +506,40 @@ impl SimEngine {
             return entries;
         };
         let subset: Vec<Vec<u8>> = missing.iter().map(|&i| keys[i].clone()).collect();
+        let promoted = self.fetch_and_promote(peers, store, tier, ttl - 1, &subset);
+        for (&slot, entry) in missing.iter().zip(promoted) {
+            entries[slot] = entry;
+        }
+        entries
+    }
+
+    /// Fetches `keys` from the peers (one batched exchange per consulted
+    /// peer), re-verifies and promotes each returned entry into the
+    /// local store, and counts the round trips, bytes and hits. Returns
+    /// one slot per key: the promoted entry, or `None` where no peer
+    /// supplied one that verifies.
+    fn fetch_and_promote(
+        &self,
+        peers: &PeerSet,
+        store: &ResultStore,
+        tier: Tier,
+        ttl: u32,
+        keys: &[Vec<u8>],
+    ) -> Vec<Option<Vec<u8>>> {
         let fingerprint = workloads_fingerprint(&self.workloads);
-        let fetched = peers.fetch(fingerprint, tier, ttl - 1, &subset);
+        let fetched = peers.fetch(fingerprint, tier, ttl, keys);
         self.remote_round_trips
             .fetch_add(fetched.round_trips, Ordering::Relaxed);
         self.remote_bytes
             .fetch_add(fetched.bytes, Ordering::Relaxed);
-        for (&slot, entry) in missing.iter().zip(fetched.entries) {
-            if let Some(data) = entry {
-                if store.adopt_raw(&keys[slot], &data, tier) {
-                    self.remote_hits.fetch_add(1, Ordering::Relaxed);
-                    entries[slot] = Some(data);
-                }
-            }
-        }
-        entries
+        keys.iter()
+            .zip(fetched.entries)
+            .map(|(key, entry)| {
+                let data = entry.filter(|data| store.adopt_raw(key, data, tier))?;
+                self.remote_hits.fetch_add(1, Ordering::Relaxed);
+                Some(data)
+            })
+            .collect()
     }
 
     /// The persistent key for `job`: the job plus the spec its program
@@ -598,9 +580,6 @@ impl SimEngine {
     /// miss (the run re-records and [`SimEngine::persist_warm_artifacts`]
     /// repairs the file).
     fn ensure_warm_artifacts(&self, workload: Workload) {
-        if !self.warm_artifacts {
-            return;
-        }
         let Some(store) = &self.store else { return };
         let mut loaded = self.warm_loaded.lock().expect("warm-loaded poisoned");
         if !loaded.insert(workload) {
@@ -624,14 +603,11 @@ impl SimEngine {
 
     /// Writes each workload's newly recorded paths back to the store's
     /// artifact tier; returns how many artifact files were written. A
-    /// no-op without a store or with the tier disabled, and — because
-    /// imports mark the bank clean — a fully warm run writes nothing,
-    /// leaving artifact mtimes (and thus GC order) undisturbed.
+    /// no-op without a store, and — because imports mark the bank clean
+    /// — a fully warm run writes nothing, leaving artifact mtimes (and
+    /// thus GC order) undisturbed.
     /// Workloads the run never translated are skipped, not compiled.
     pub fn persist_warm_artifacts(&self) -> usize {
-        if !self.warm_artifacts {
-            return 0;
-        }
         let Some(store) = &self.store else { return 0 };
         let mut written = 0;
         for (_, program) in &self.workloads {
@@ -975,9 +951,7 @@ mod tests {
         let dir = StoreDir::new("artifact");
         let job = tiny_job();
 
-        let cold = tiny_engine()
-            .with_store(dir.open())
-            .with_warm_artifacts(true);
+        let cold = tiny_engine().with_store(dir.open());
         let expected = cold.coverage(&job);
         assert!(cold.memo_stats().recorded > 0, "cold run must record paths");
         assert_eq!(cold.persist_warm_artifacts(), 1);
@@ -996,9 +970,7 @@ mod tests {
         // result): drop the result tier, keep the artifact tier.
         std::fs::remove_file(tiny_entry_path(&cold, &job)).unwrap();
 
-        let warm = tiny_engine()
-            .with_store(dir.open())
-            .with_warm_artifacts(true);
+        let warm = tiny_engine().with_store(dir.open());
         assert_eq!(
             warm.coverage(&job),
             expected,
@@ -1015,9 +987,7 @@ mod tests {
         let dir = StoreDir::new("artifact-corrupt");
         let job = tiny_job();
 
-        let cold = tiny_engine()
-            .with_store(dir.open())
-            .with_warm_artifacts(true);
+        let cold = tiny_engine().with_store(dir.open());
         let expected = cold.coverage(&job);
         cold.persist_warm_artifacts();
         let art_path = tiny_artifact_path(&cold);
@@ -1028,9 +998,7 @@ mod tests {
         std::fs::write(&art_path, &garbled).unwrap();
         std::fs::remove_file(tiny_entry_path(&cold, &job)).unwrap();
 
-        let repaired = tiny_engine()
-            .with_store(dir.open())
-            .with_warm_artifacts(true);
+        let repaired = tiny_engine().with_store(dir.open());
         assert_eq!(
             repaired.coverage(&job),
             expected,
@@ -1048,19 +1016,6 @@ mod tests {
             clean,
             "re-recording must rebuild the identical canonical artifact"
         );
-    }
-
-    #[test]
-    fn warm_artifacts_off_touches_no_artifact_files() {
-        let dir = StoreDir::new("artifact-off");
-        let job = tiny_job();
-        let engine = tiny_engine()
-            .with_store(dir.open())
-            .with_warm_artifacts(false);
-        engine.coverage(&job);
-        assert_eq!(engine.persist_warm_artifacts(), 0);
-        assert!(!tiny_artifact_path(&engine).exists());
-        assert_eq!(engine.store().unwrap().usage().artifacts, 0);
     }
 
     #[test]

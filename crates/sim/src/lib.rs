@@ -23,7 +23,7 @@ pub use coverage::{
     branch_density, branch_density_mode, run_coverage, run_coverage_mode, CoverageOptions,
     CoverageResult, DEFAULT_L1I_KB,
 };
-pub use designs::{airbtb_ablation, DesignPoint, PrefetchScheme};
+pub use designs::{DesignPoint, PrefetchScheme};
 pub use engine::{EngineStats, SimEngine};
 pub use job::{BtbSpec, CoverageJob, DensityJob, Job, JobOutput, TimingJob};
 pub use peers::{PeerSet, DEFAULT_PEER_TIMEOUT};

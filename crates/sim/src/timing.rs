@@ -44,7 +44,7 @@ use confluence_types::{
 };
 use confluence_uarch::{
     CoreParams, FillKind, FillRequest, HybridDirectionPredictor, IndirectTargetCache, L1ICache,
-    MshrFile, Predecoder, ReturnAddressStack, SharedLlc, PENDING_FILL,
+    MshrFile, ReturnAddressStack, SharedLlc, DEFAULT_PREDECODE_LATENCY, PENDING_FILL,
 };
 
 use crate::designs::{DesignPoint, PrefetchScheme};
@@ -139,7 +139,6 @@ pub struct CoreFrontend<'p> {
     shift: Option<ShiftEngine>,
     l1i: L1ICache,
     mshrs: MshrFile,
-    predecoder: Predecoder,
     perfect_l1i: bool,
     predecode_fills: bool,
     records_history: bool,
@@ -193,7 +192,6 @@ impl<'p> CoreFrontend<'p> {
             shift: matches!(design.prefetch(), PrefetchScheme::Shift).then(ShiftEngine::new),
             l1i: L1ICache::new_32k(),
             mshrs: MshrFile::new(confluence_uarch::MemParams::default().l1i_mshrs),
-            predecoder: Predecoder::new(),
             perfect_l1i: design.perfect_l1i(),
             predecode_fills: design.predecodes_fills(),
             records_history: id == 0,
@@ -220,11 +218,6 @@ impl<'p> CoreFrontend<'p> {
     /// True once the core has retired its full instruction budget.
     pub fn is_done(&self) -> bool {
         self.done_at.is_some()
-    }
-
-    /// Cycle at which the core finished, if done.
-    pub fn done_at(&self) -> Option<u64> {
-        self.done_at
     }
 
     /// Measured-phase statistics.
@@ -443,7 +436,7 @@ impl<'p> CoreFrontend<'p> {
     /// Confluence predecoder's scan, for designs that predecode fills).
     fn fill_extra_latency(&self) -> u64 {
         if self.predecode_fills {
-            self.predecoder.latency()
+            DEFAULT_PREDECODE_LATENCY
         } else {
             0
         }

@@ -160,8 +160,7 @@ fn warm_second_batch_executes_nothing_and_reimports_nothing() {
     }
 
     let engine = tiny_engine()
-        .with_store(ResultStore::open(&store_dir, SCHEMA_VERSION).expect("store reopens"))
-        .with_warm_artifacts(true);
+        .with_store(ResultStore::open(&store_dir, SCHEMA_VERSION).expect("store reopens"));
     let (host, handle) = spawn_daemon(engine, &sock, None);
 
     // Batch 1: result entries are gone, so everything executes — but in

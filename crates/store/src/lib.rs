@@ -4,7 +4,7 @@
 //! Three layers, lowest first:
 //!
 //! - [`wire`] — shared framing primitives (varints, length prefixes,
-//!   fixed-width integers, FNV-1a), also used by the trace serializer;
+//!   fixed-width integers, FNV-1a), also used by the memo-table codec;
 //! - [`Encode`]/[`Decode`] — the hand-rolled versioned binary codec
 //!   traits, with impls for primitives and containers (schemas for
 //!   domain types live next to those types, e.g. `confluence_sim`'s job

@@ -5,8 +5,8 @@
 //!
 //! Writers are free functions over `Vec<u8>`; reads go through [`Reader`],
 //! an offset-tracking cursor whose errors ([`WireError`]) name the byte
-//! where decoding failed. The trace serializer
-//! (`confluence_trace::serialize`), the result-store codec, and the
+//! where decoding failed. The memo-table codec
+//! (`confluence_trace::MemoTable`), the result-store codec, and the
 //! experiment-service frame protocol (`confluence_serve`) are all built
 //! on these helpers, so framing bugs get fixed in one place.
 //!

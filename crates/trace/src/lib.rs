@@ -33,7 +33,6 @@
 mod compile;
 mod exec;
 mod program;
-mod serialize;
 mod spec;
 mod stats;
 
@@ -42,6 +41,5 @@ pub use compile::{
 };
 pub use exec::Executor;
 pub use program::{Program, ProgramStats};
-pub use serialize::{decode_records, encode_records, DecodeTraceError};
 pub use spec::{TermMix, Workload, WorkloadSpec};
 pub use stats::{StreamStats, TraceStats};

@@ -164,13 +164,6 @@ impl Program {
         self.stats
     }
 
-    /// True if the given 64-byte block holds generated code.
-    pub fn block_has_code(&self, block: BlockAddr) -> bool {
-        let base = CODE_BASE >> 6;
-        let end = (CODE_BASE as usize + self.stats.code_bytes).div_ceil(64) as u64;
-        (base..end).contains(&block.raw())
-    }
-
     pub(crate) fn bbs(&self) -> &[Bb] {
         &self.bbs
     }
@@ -866,13 +859,5 @@ mod tests {
         let p = Program::generate(&w.spec()).unwrap();
         let mb = p.stats().code_bytes as f64 / (1024.0 * 1024.0);
         assert!(mb > 1.0, "{w}: generated only {mb:.2} MiB");
-    }
-
-    #[test]
-    fn block_has_code_bounds() {
-        let p = Program::generate(&WorkloadSpec::tiny()).unwrap();
-        let first = VAddr::new(CODE_BASE).block();
-        assert!(p.block_has_code(first));
-        assert!(!p.block_has_code(BlockAddr::from_raw(0)));
     }
 }

@@ -51,18 +51,6 @@ impl BranchKind {
         matches!(self, BranchKind::Call | BranchKind::IndirectCall)
     }
 
-    /// True if the branch pops the RAS to obtain its target.
-    #[inline]
-    pub fn pops_ras(self) -> bool {
-        matches!(self, BranchKind::Return)
-    }
-
-    /// True if the branch is always taken when executed.
-    #[inline]
-    pub fn always_taken(self) -> bool {
-        !self.is_conditional()
-    }
-
     /// The paper's 2-bit BTB type class for this branch.
     #[inline]
     pub fn class(self) -> BranchClass {
@@ -86,11 +74,6 @@ pub enum BranchClass {
     Indirect,
     /// Return; target from the return-address stack.
     Return,
-}
-
-impl BranchClass {
-    /// Number of storage bits needed for the class field.
-    pub const BITS: usize = 2;
 }
 
 /// A statically known branch inside an instruction block, as produced by the
@@ -156,9 +139,8 @@ mod tests {
     fn ras_behaviour_flags() {
         assert!(BranchKind::Call.pushes_ras());
         assert!(BranchKind::IndirectCall.pushes_ras());
-        assert!(BranchKind::Return.pops_ras());
         assert!(!BranchKind::Conditional.pushes_ras());
-        assert!(!BranchKind::Unconditional.pops_ras());
+        assert!(!BranchKind::Return.pushes_ras());
     }
 
     #[test]
@@ -170,9 +152,9 @@ mod tests {
             BranchKind::IndirectJump,
             BranchKind::IndirectCall,
         ] {
-            assert!(k.always_taken(), "{k:?} must be always taken");
+            assert!(!k.is_conditional(), "{k:?} must be always taken");
         }
-        assert!(!BranchKind::Conditional.always_taken());
+        assert!(BranchKind::Conditional.is_conditional());
     }
 
     #[test]

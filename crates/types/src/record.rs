@@ -50,12 +50,6 @@ impl TraceRecord {
         }
     }
 
-    /// True if this record is a branch that was taken.
-    #[inline]
-    pub fn is_taken_branch(&self) -> bool {
-        self.branch.map(|b| b.taken).unwrap_or(false)
-    }
-
     /// The address of the next instruction the core commits after this one.
     #[inline]
     pub fn next_pc(&self) -> VAddr {
@@ -79,7 +73,6 @@ mod tests {
             VAddr::new(0x800),
         );
         assert_eq!(r.next_pc(), VAddr::new(0x800));
-        assert!(r.is_taken_branch());
     }
 
     #[test]
@@ -91,7 +84,6 @@ mod tests {
             VAddr::new(0x800),
         );
         assert_eq!(r.next_pc(), VAddr::new(0x104));
-        assert!(!r.is_taken_branch());
     }
 
     #[test]

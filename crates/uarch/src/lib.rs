@@ -6,7 +6,7 @@
 //! instruction cache, the shared NUCA LLC with predictor-virtualization
 //! reservations, the 2D-mesh NoC latency model, MSHRs, the hybrid branch
 //! direction predictor, the indirect target cache, the return-address
-//! stack, the predecoder, and the Table 1 parameter sets.
+//! stack, the predecoder's scan latency, and the Table 1 parameter sets.
 //!
 //! # Example
 //!
@@ -47,5 +47,5 @@ pub use lru::LruBuffer;
 pub use mshr::MshrFile;
 pub use noc::MeshNoc;
 pub use params::{CoreParams, MemParams};
-pub use predecode::{Predecoder, DEFAULT_PREDECODE_LATENCY};
+pub use predecode::DEFAULT_PREDECODE_LATENCY;
 pub use ras::ReturnAddressStack;

@@ -1,92 +1,13 @@
-//! Predecoder model: extracts branch metadata from fetched blocks.
+//! The predecoder's branch-scan latency.
 //!
 //! The paper's predecoder scans a cache block for branch instructions as it
 //! arrives from the LLC, extracting each branch's type and PC-relative
 //! displacement before insertion into the L1-I (Section 3.2). The scan
 //! takes a few cycles, which is off the critical path for prefetched blocks
-//! but adds to the fetch latency of demand misses.
-
-use confluence_types::{BlockAddr, PredecodeSource, PredecodedBranch};
+//! but adds to the fetch latency of demand misses. The branch extraction
+//! itself is the program's `PredecodeSource` oracle; this module holds only
+//! the latency the timing model charges for it.
 
 /// Default branch-scan latency in cycles (paper cites "a few cycles",
 /// referencing SPARC T4-style predecode).
 pub const DEFAULT_PREDECODE_LATENCY: u64 = 2;
-
-/// A predecoder with a configurable scan latency.
-///
-/// The actual branch extraction is delegated to the program's
-/// [`PredecodeSource`] oracle, which plays the role of decoding the raw
-/// instruction bytes.
-#[derive(Clone, Copy, Debug)]
-pub struct Predecoder {
-    latency: u64,
-}
-
-impl Predecoder {
-    /// Creates a predecoder with the default 2-cycle scan latency.
-    pub fn new() -> Self {
-        Predecoder {
-            latency: DEFAULT_PREDECODE_LATENCY,
-        }
-    }
-
-    /// Creates a predecoder with an explicit scan latency.
-    pub fn with_latency(latency: u64) -> Self {
-        Predecoder { latency }
-    }
-
-    /// Scan latency in cycles.
-    pub fn latency(&self) -> u64 {
-        self.latency
-    }
-
-    /// Scans `block` for branches using the given oracle.
-    pub fn scan<'a, P: PredecodeSource + ?Sized>(
-        &self,
-        oracle: &'a P,
-        block: BlockAddr,
-    ) -> &'a [PredecodedBranch] {
-        oracle.branches_in_block(block)
-    }
-}
-
-impl Default for Predecoder {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use confluence_types::{BranchKind, VAddr};
-    use std::collections::HashMap;
-
-    struct MapOracle(HashMap<BlockAddr, Vec<PredecodedBranch>>);
-
-    impl PredecodeSource for MapOracle {
-        fn branches_in_block(&self, block: BlockAddr) -> &[PredecodedBranch] {
-            self.0.get(&block).map(Vec::as_slice).unwrap_or(&[])
-        }
-    }
-
-    #[test]
-    fn scan_returns_oracle_contents() {
-        let block = BlockAddr::from_raw(7);
-        let branches = vec![PredecodedBranch::direct(
-            3,
-            BranchKind::Call,
-            VAddr::new(0x40),
-        )];
-        let oracle = MapOracle(HashMap::from([(block, branches.clone())]));
-        let pd = Predecoder::new();
-        assert_eq!(pd.scan(&oracle, block), branches.as_slice());
-        assert_eq!(pd.scan(&oracle, BlockAddr::from_raw(8)), &[]);
-        assert_eq!(pd.latency(), DEFAULT_PREDECODE_LATENCY);
-    }
-
-    #[test]
-    fn custom_latency() {
-        assert_eq!(Predecoder::with_latency(5).latency(), 5);
-    }
-}

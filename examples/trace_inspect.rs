@@ -1,13 +1,11 @@
 //! Inspect the statistical properties of a generated workload trace:
-//! branch mix, working sets, temporal-stream recurrence, serialization.
+//! branch mix, working sets and temporal-stream recurrence.
 //!
 //! ```sh
 //! cargo run --release --example trace_inspect
 //! ```
 
-use confluence::trace::{
-    decode_records, encode_records, Program, StreamStats, TraceStats, Workload,
-};
+use confluence::trace::{Program, StreamStats, TraceStats, Workload};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     for w in Workload::ALL {
@@ -47,16 +45,5 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             streams.mean_repeat_run
         );
     }
-
-    // Round-trip a trace snippet through the binary format.
-    let program = Program::generate(&Workload::OltpDb2.spec().with_code_kb(256))?;
-    let snippet: Vec<_> = program.executor(7).take(10_000).collect();
-    let encoded = encode_records(snippet.iter().copied());
-    let decoded = decode_records(&encoded)?;
-    assert_eq!(snippet, decoded);
-    println!(
-        "\nserialized 10k records into {} bytes and decoded them back",
-        encoded.len()
-    );
     Ok(())
 }

@@ -8,10 +8,9 @@
 //! at the current [`SCHEMA_VERSION`], so entries written by older schemas
 //! are invisible rather than wrong. With a store attached, runs also use
 //! its **warm-artifact tier** — persisted path-memo tables that let
-//! executors replay from record zero even in a cold process — unless
-//! `--no-warm-artifacts` turns it off. `--no-fastpath` routes every job
-//! through the reference executor. Neither switch changes results, only
-//! wall-clock time.
+//! executors replay from record zero even in a cold process.
+//! `--no-fastpath` routes every job through the reference executor.
+//! Neither the tier nor the switch changes results, only wall-clock time.
 
 use std::path::PathBuf;
 use std::str::FromStr;
@@ -98,7 +97,6 @@ const FLAGS: &[Flag] = &[
         "a millisecond count",
         ENGINE | SERVE,
     ),
-    switch("--no-warm-artifacts", ENGINE | SERVE),
     switch("--no-fastpath", ENGINE | SERVE),
     valued("--connect", "SOCK", "a socket path", ENGINE),
 ];
@@ -130,8 +128,6 @@ pub struct Args {
     pub peers: Vec<PathBuf>,
     /// `--peer-timeout-ms N`, else the peer tier's default.
     pub peer_timeout: Duration,
-    /// `--no-warm-artifacts`.
-    pub no_warm_artifacts: bool,
     /// `--no-fastpath`.
     pub no_fastpath: bool,
     /// `--connect SOCK`: submit batches to a running daemon.
@@ -236,7 +232,6 @@ impl Args {
             "--peer-timeout-ms" => {
                 self.peer_timeout = Duration::from_millis(parse_number(flag, &value)?)
             }
-            "--no-warm-artifacts" => self.no_warm_artifacts = true,
             "--no-fastpath" => self.no_fastpath = true,
             "--connect" => self.connect = Some(value.into()),
             other => unreachable!("flag {other} has no field"),
@@ -319,9 +314,6 @@ pub fn build_engine(args: &Args) -> SimEngine {
             );
         }
         return engine;
-    }
-    if args.no_warm_artifacts {
-        engine = engine.with_warm_artifacts(false);
     }
     if let Some(dir) = &args.store_dir {
         match ResultStore::open(dir, SCHEMA_VERSION) {
@@ -722,7 +714,6 @@ mod tests {
             ok(&["--peer-timeout-ms", "50"]).peer_timeout,
             Duration::from_millis(50)
         );
-        assert!(ok(&["--no-warm-artifacts"]).no_warm_artifacts);
         assert!(ok(&["--no-fastpath", "--compare-serial"]).compare_serial);
 
         let defaults = ok(&[]);
@@ -731,7 +722,6 @@ mod tests {
         assert_eq!(defaults.threads, None);
         assert_eq!(defaults.store_dir, None);
         assert_eq!(defaults.store_cap, None);
-        assert!(!defaults.no_warm_artifacts);
         assert_eq!(defaults.peer_timeout, confluence_sim::DEFAULT_PEER_TIMEOUT);
     }
 

@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 
-use confluence::trace::{decode_records, encode_records, Program, WorkloadSpec};
+use confluence::trace::{Program, WorkloadSpec};
 use confluence::types::{BlockAddr, BranchKind, DetRng, FetchRegion, TraceRecord, VAddr};
 use confluence_btb::BtbDesign;
 use confluence_core::AirBtb;
@@ -108,14 +108,6 @@ proptest! {
         prop_assert_eq!(ras.pop(), None);
     }
 
-    /// Trace serialization round-trips arbitrary records.
-    #[test]
-    fn trace_serialization_roundtrip(records in prop::collection::vec(arb_record(), 0..200)) {
-        let encoded = encode_records(records.iter().copied());
-        let decoded = decode_records(&encoded).unwrap();
-        prop_assert_eq!(records, decoded);
-    }
-
     /// AirBTB contents always mirror the L1-I in Full (synchronized) mode.
     #[test]
     fn airbtb_stays_in_sync_with_l1i(blocks in prop::collection::vec(0u64..512, 1..300)) {
@@ -154,25 +146,6 @@ proptest! {
             prev = Some(r);
         }
     }
-}
-
-fn arb_record() -> impl Strategy<Value = TraceRecord> {
-    let kinds = prop_oneof![
-        Just(BranchKind::Conditional),
-        Just(BranchKind::Unconditional),
-        Just(BranchKind::Call),
-        Just(BranchKind::Return),
-        Just(BranchKind::IndirectJump),
-        Just(BranchKind::IndirectCall),
-    ];
-    (
-        arb_vaddr(),
-        proptest::option::of((kinds, any::<bool>(), arb_vaddr())),
-    )
-        .prop_map(|(pc, branch)| match branch {
-            None => TraceRecord::plain(pc),
-            Some((kind, taken, target)) => TraceRecord::branch(pc, kind, taken, target),
-        })
 }
 
 // ---------------------------------------------------------------------------
