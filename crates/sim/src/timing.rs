@@ -119,8 +119,8 @@ impl CoreStats {
 /// A fetch region queued between the BPU and the fetch stage.
 #[derive(Clone, Debug)]
 struct PendingRegion {
-    len: usize,
-    blocks: Vec<BlockAddr>,
+    region: FetchRegion,
+    /// Index of the first block not yet found resident.
     next_block: usize,
     /// Instructions already delivered to the instruction buffer.
     fetched: usize,
@@ -340,17 +340,11 @@ impl<'p> CoreFrontend<'p> {
         let Some(head) = self.fetch_queue.front() else {
             return;
         };
-        // Check/collect the region's blocks in order.
-        let blocks: Vec<BlockAddr> = head.blocks.clone();
+        // Check the region's blocks in order.
+        let region = head.region;
         let mut next = head.next_block;
-        while next < blocks.len() {
-            let block = blocks[next];
-            if self.perfect_l1i {
-                next += 1;
-                continue;
-            }
-            let resident = self.block_demand_access(history, block);
-            if !resident {
+        for block in region.blocks().skip(next) {
+            if !self.perfect_l1i && !self.block_demand_access(history, block) {
                 if self.measuring() {
                     self.stats.fetch_stall_cycles += 1;
                 }
@@ -365,10 +359,14 @@ impl<'p> CoreFrontend<'p> {
         let room = self.core.instr_buffer.saturating_sub(self.instr_buffer);
         let head = self.fetch_queue.front_mut().expect("head exists");
         head.next_block = next;
-        let delivered = self.core.fetch_width.min(head.len - head.fetched).min(room);
+        let delivered = self
+            .core
+            .fetch_width
+            .min(region.len - head.fetched)
+            .min(room);
         head.fetched += delivered;
         self.instr_buffer += delivered;
-        if head.fetched == head.len {
+        if head.fetched == region.len {
             self.fetch_queue.pop_front();
         }
     }
@@ -497,7 +495,6 @@ impl<'p> CoreFrontend<'p> {
         }
         let start = start.expect("region has at least one instruction");
         let region = FetchRegion::new(start, len);
-        let blocks: Vec<BlockAddr> = region.blocks().collect();
 
         let mut bubble: u64 = 0;
         if let Some(term) = terminator {
@@ -594,8 +591,7 @@ impl<'p> CoreFrontend<'p> {
         }
 
         self.fetch_queue.push_back(PendingRegion {
-            len,
-            blocks: blocks.clone(),
+            region,
             next_block: 0,
             fetched: 0,
         });
