@@ -1,5 +1,5 @@
-//! The blocking client: handshake once, submit batches, collect
-//! streamed results back into submission order. Also the peer-facing
+//! The blocking client: handshake once, submit batches, collect their
+//! results back into submission order. Also the peer-facing
 //! side of the remote warm tier: [`Client::fetch`] asks a daemon for a
 //! whole batch of raw store entries in one round trip.
 
@@ -136,13 +136,13 @@ impl Client {
     }
 
     /// Submits one batch of encoded jobs and blocks until every result
-    /// and the final `BatchDone` arrive. Results stream back in the
-    /// daemon's completion order and are reassembled into submission
-    /// order here.
+    /// and the final `BatchDone` arrive. The daemon answers once the
+    /// whole batch has run; each result is placed by its job index,
+    /// whatever order the frames arrive in.
     ///
     /// # Errors
     ///
-    /// [`ClientError::Daemon`] if the daemon aborts the batch with a
+    /// [`ClientError::Daemon`] if the daemon fails the batch with a
     /// typed error (e.g. a malformed or failed job); transport and
     /// protocol violations as their variants describe.
     pub fn submit(&mut self, batch_id: u64, jobs: Vec<Vec<u8>>) -> Result<BatchReply, ClientError> {

@@ -21,11 +21,13 @@
 //!   `confluence_sim` links the client side into the `confluence` binary.
 //! - [`server`] — the accept loop and per-connection protocol driver,
 //!   generic over a [`BatchHost`]: the engine-owning side implements
-//!   five methods (validate a handshake, cost-rank a job, run a job,
-//!   snapshot/settle batch accounting) and gets multiplexing, streamed
-//!   results, and per-connection failure isolation for free.
+//!   four methods (report its schema, validate a handshake, run a
+//!   whole batch, answer a peer fetch) and gets multiplexing, framing,
+//!   and per-connection failure isolation for free. Scheduling a batch
+//!   is the host's business: the engine runs it on the same scheduler
+//!   as in process.
 //! - [`client`] — the blocking client: handshake, submit a batch,
-//!   collect streamed results into submission order.
+//!   collect its results into submission order.
 //!
 //! The engine-facing [`BatchHost`] implementation lives in
 //! `confluence_sim` (`daemon` module), which owns the job codec and the

@@ -12,10 +12,13 @@
 //! schema version, workload-config fingerprint); server answers
 //! [`Frame::HelloAck`] or a typed [`Frame::Error`] and closes. Each
 //! [`Frame::SubmitBatch`] is answered by one [`Frame::JobResult`] per
-//! job — streamed in completion order, carrying the job's submission
-//! index — and a final [`Frame::BatchDone`] with the batch's cache
-//! accounting, so the client can render the same cache-summary line an
-//! in-process run prints. Any malformed or out-of-place frame gets a
+//! job, carrying the job's submission index, and a final
+//! [`Frame::BatchDone`] with the batch's cache accounting, so the client
+//! can render the same cache-summary line an in-process run prints. A
+//! failed batch is answered by one typed [`Frame::Error`] instead. The
+//! server writes the results in index order once the whole batch has
+//! run, but the index is what places a result, so clients accept any
+//! order. Any malformed or out-of-place frame gets a
 //! typed [`Frame::Error`] and a clean close; corruption never panics
 //! the peer.
 //!
@@ -282,9 +285,9 @@ pub enum Frame {
         /// The encoded jobs, in submission order.
         jobs: Vec<Vec<u8>>,
     },
-    /// Server → client: one job's encoded output. Streamed as jobs
-    /// complete — most-expensive-first under the daemon's cost-aware
-    /// scheduler, so arrival order is not submission order.
+    /// Server → client: one job's encoded output. Sent after the whole
+    /// batch has run, in index order; the index, not arrival order,
+    /// places the result.
     JobResult {
         /// Index into the submitted batch.
         job_idx: u32,

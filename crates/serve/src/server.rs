@@ -2,26 +2,25 @@
 //!
 //! The server owns nothing about simulation: it is generic over a
 //! [`BatchHost`], the engine-owning side of the daemon. For every
-//! connection it runs the handshake, then answers `SubmitBatch` frames
-//! by fanning the batch's jobs out over `host.threads()` worker threads
-//! (most-expensive-first by `host.cost_hint`, matching the engine's own
-//! scheduler) and streaming each `JobResult` frame back the moment the
-//! job completes. Exactly-once semantics across concurrent clients are
-//! the host's business — the engine's content-keyed in-flight dedup —
-//! so two clients submitting the same job each get a result frame while
-//! the simulation runs once.
+//! connection it runs the handshake, then answers each `SubmitBatch`
+//! frame by handing the whole batch to [`BatchHost::run_batch`] — the
+//! host schedules it on its own worker pool — and writing one
+//! `JobResult` frame per job in index order, then `BatchDone`.
+//! Exactly-once semantics across concurrent clients are the host's
+//! business — the engine's content-keyed in-flight dedup — so two
+//! clients submitting the same job each get a result frame while the
+//! simulation runs once.
 //!
 //! Failure isolation is per connection: a malformed frame or rejected
-//! job earns a typed [`Frame::Error`] and a clean close; a client that
-//! disconnects mid-batch aborts its remaining job *claims* (work other
-//! clients are waiting on still completes inside the host) and its
-//! thread exits. Nothing a client does can poison the shared engine.
+//! batch earns a typed [`Frame::Error`] and a clean close; a client that
+//! disconnects mid-batch only loses its replies (the batch's work still
+//! lands in the host's cache and store) and its thread exits. Nothing a
+//! client does can poison the shared engine.
 
 use std::io::{self, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::mpsc;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::Duration;
@@ -35,7 +34,7 @@ use crate::protocol::{
 /// How often the accept loop checks its stop flag while idle.
 const ACCEPT_POLL: Duration = Duration::from_millis(5);
 
-/// A typed refusal from the host: handshake validation or a job that
+/// A typed refusal from the host: handshake validation or a batch that
 /// could not be decoded/executed. Sent to the client verbatim as a
 /// [`Frame::Error`].
 #[derive(Clone, Debug)]
@@ -61,13 +60,10 @@ impl Rejection {
 /// Implementations decode the opaque job payloads with their own schema
 /// (the `Hello` handshake guarantees both sides agree on it) and are
 /// responsible for exactly-once execution under concurrency — the
-/// server will call [`BatchHost::run_job`] for the same payload from
-/// several connections at once and expects the host to dedup in flight.
+/// server will call [`BatchHost::run_batch`] from several connections
+/// at once, with overlapping jobs, and expects the host to dedup in
+/// flight.
 pub trait BatchHost: Send + Sync + 'static {
-    /// Opaque pre-batch accounting snapshot; diffed by
-    /// [`BatchHost::finish_batch`] to produce per-batch deltas.
-    type Snapshot: Send;
-
     /// The host's job schema version, echoed in `HelloAck`.
     fn schema(&self) -> u32;
 
@@ -81,30 +77,16 @@ pub trait BatchHost: Send + Sync + 'static {
     /// the connection is closed.
     fn validate_hello(&self, schema: u32, fingerprint: u64) -> Result<(), Rejection>;
 
-    /// Worker threads to fan one batch out over.
-    fn threads(&self) -> usize;
-
-    /// Relative cost of one encoded job, for most-expensive-first
-    /// ordering. Payloads that fail to decode may return anything;
-    /// [`BatchHost::run_job`] will reject them properly.
-    fn cost_hint(&self, job: &[u8]) -> u64;
-
-    /// Executes one encoded job and returns its encoded output.
+    /// Runs one submitted batch of encoded jobs to completion and
+    /// returns exactly one encoded output per job, index-aligned, plus
+    /// the batch's accounting (deltas over the batch, settled after any
+    /// end-of-batch maintenance such as store GC).
     ///
     /// # Errors
     ///
-    /// A [`Rejection`] aborts the batch: the client gets a typed error
-    /// frame instead of a `BatchDone`.
-    fn run_job(&self, job: &[u8]) -> Result<Vec<u8>, Rejection>;
-
-    /// Called once per submitted batch, before any job runs (and after
-    /// [`BatchHost::snapshot`], so whatever it does lands in the batch's
-    /// accounting window). The remote warm tier lives here: a peered
-    /// host collects the batch's local misses and fetches them from its
-    /// peers in one batched round trip. The default does nothing.
-    fn prepare_batch(&self, jobs: &[Vec<u8>]) {
-        let _ = jobs;
-    }
+    /// A [`Rejection`] fails the whole batch: the client gets a typed
+    /// error frame instead of any result.
+    fn run_batch(&self, jobs: &[Vec<u8>]) -> Result<(Vec<Vec<u8>>, BatchStats), Rejection>;
 
     /// Answers one batched fetch from a peer (or a daemonless client):
     /// for each encoded store key, the raw verified entry bytes from
@@ -116,14 +98,6 @@ pub trait BatchHost: Send + Sync + 'static {
         let _ = (tier, ttl);
         vec![None; keys.len()]
     }
-
-    /// Captures accounting state before a batch begins.
-    fn snapshot(&self) -> Self::Snapshot;
-
-    /// Settles a batch: computes delta stats against `before`, and
-    /// performs any end-of-batch maintenance (artifact persistence,
-    /// store GC).
-    fn finish_batch(&self, before: Self::Snapshot) -> BatchStats;
 }
 
 /// A bound but not yet running server.
@@ -391,99 +365,36 @@ fn serve_fetch<H: BatchHost>(
     protocol::send(stream, &Frame::FetchDone { hits, misses }).is_ok()
 }
 
-/// Runs one batch and streams its results. Returns `false` if the
-/// connection should close (transport failure or a rejected job).
+/// Runs one batch, then writes its results in index order and the
+/// closing [`Frame::BatchDone`]. Returns `false` if the connection should
+/// close (transport failure or a rejected batch).
 fn serve_batch<H: BatchHost>(
     stream: &mut UnixStream,
     host: &H,
     batch_id: u64,
     jobs: &[Vec<u8>],
 ) -> bool {
-    let before = host.snapshot();
-    host.prepare_batch(jobs);
-
-    // Most-expensive-first claim order, same policy as the engine's own
-    // scheduler: long poles start immediately instead of queueing
-    // behind cheap jobs. Stable sort keeps submission order among ties.
-    let mut order: Vec<usize> = (0..jobs.len()).collect();
-    order.sort_by_key(|&i| std::cmp::Reverse(host.cost_hint(&jobs[i])));
-
-    let workers = host.threads().clamp(1, jobs.len().max(1));
-    let next = AtomicUsize::new(0);
-    let abort = AtomicBool::new(false);
-    let rejection: Mutex<Option<Rejection>> = Mutex::new(None);
-    let mut write_failed = false;
-
-    thread::scope(|scope| {
-        let (tx, rx) = mpsc::channel::<(u32, Vec<u8>)>();
-        for _ in 0..workers {
-            let tx = tx.clone();
-            let (next, abort, rejection, order) = (&next, &abort, &rejection, &order);
-            scope.spawn(move || {
-                loop {
-                    if abort.load(Ordering::SeqCst) {
-                        break;
-                    }
-                    let slot = next.fetch_add(1, Ordering::SeqCst);
-                    let Some(&idx) = order.get(slot) else { break };
-                    match host.run_job(&jobs[idx]) {
-                        Ok(output) => {
-                            #[allow(clippy::cast_possible_truncation)]
-                            let job_idx = idx as u32;
-                            if tx.send((job_idx, output)).is_err() {
-                                break;
-                            }
-                        }
-                        Err(rej) => {
-                            // First rejection wins; the batch aborts.
-                            rejection.lock().unwrap().get_or_insert(rej);
-                            abort.store(true, Ordering::SeqCst);
-                            break;
-                        }
-                    }
-                }
-            });
+    let (outputs, stats) = match host.run_batch(jobs) {
+        Ok(done) => done,
+        Err(rej) => {
+            refuse(stream, rej.code, rej.message);
+            return false;
         }
-        // The connection thread is the sole frame writer: it drains the
-        // channel and streams each result the moment it lands. Dropping
-        // the spare sender lets the loop end when all workers finish.
-        drop(tx);
-        for (job_idx, output) in rx {
-            if write_failed {
-                continue; // keep draining so the channel empties
-            }
-            let frame = Frame::JobResult { job_idx, output };
-            if protocol::send(stream, &frame).is_err() {
-                // Client went away mid-batch: abandon its remaining
-                // claims. Jobs other clients also requested still
-                // complete inside the host's in-flight dedup.
-                write_failed = true;
-                abort.store(true, Ordering::SeqCst);
-            }
-        }
-    });
-
-    if write_failed {
-        return false;
-    }
-    if let Some(rej) = rejection.lock().unwrap().take() {
-        refuse(stream, rej.code, rej.message);
-        return false;
-    }
-    let done = Frame::BatchDone {
-        batch_id,
-        stats: host.finish_batch(before),
     };
-    protocol::send(stream, &done).is_ok()
+    for (idx, output) in outputs.into_iter().enumerate() {
+        #[allow(clippy::cast_possible_truncation)]
+        let job_idx = idx as u32;
+        if protocol::send(stream, &Frame::JobResult { job_idx, output }).is_err() {
+            return false;
+        }
+    }
+    protocol::send(stream, &Frame::BatchDone { batch_id, stats }).is_ok()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    /// The trait must stay object-safe enough for generic use with an
-    /// associated snapshot; this is a compile-time exercise of the
-    /// bounds plus a tiny sanity check of Rejection.
     #[test]
     fn rejection_constructor() {
         let r = Rejection::new(ErrorCode::MalformedJob, "nope");
@@ -502,25 +413,14 @@ mod tests {
     struct IdleHost;
 
     impl BatchHost for IdleHost {
-        type Snapshot = ();
         fn schema(&self) -> u32 {
             1
         }
         fn validate_hello(&self, _: u32, _: u64) -> Result<(), Rejection> {
             Ok(())
         }
-        fn threads(&self) -> usize {
-            1
-        }
-        fn cost_hint(&self, _: &[u8]) -> u64 {
-            0
-        }
-        fn run_job(&self, _: &[u8]) -> Result<Vec<u8>, Rejection> {
-            Ok(Vec::new())
-        }
-        fn snapshot(&self) {}
-        fn finish_batch(&self, _: ()) -> BatchStats {
-            BatchStats::default()
+        fn run_batch(&self, _: &[Vec<u8>]) -> Result<(Vec<Vec<u8>>, BatchStats), Rejection> {
+            Ok((Vec::new(), BatchStats::default()))
         }
     }
 

@@ -5,15 +5,16 @@
 //!
 //! `confluence_serve` deliberately knows nothing about simulation — job
 //! payloads are opaque bytes at its layer. This module is where the
-//! opacity ends: [`EngineHost`] decodes each payload with the job codec
-//! (`crate::codec`), runs it through the shared engine (inheriting its
-//! in-flight dedup, so two clients submitting the same content-keyed
-//! job trigger one execution and two results), and settles each batch
-//! with artifact persistence and store GC. The handshake pins
-//! [`SCHEMA_VERSION`] and the [`workloads_fingerprint`] of the engine's
-//! generator specs, so a quick-mode client talking to a full-mode
-//! daemon is a typed `ConfigMismatch` refusal, never silently different
-//! numbers.
+//! opacity ends: [`EngineHost`] decodes and checks every payload of a
+//! batch with the job codec (`crate::codec`) before any job runs, runs
+//! the batch through the engine's own scheduler
+//! ([`SimEngine::outputs`], inheriting its in-flight dedup, so two
+//! clients submitting the same content-keyed job trigger one execution
+//! and two results), and settles each batch with artifact persistence
+//! and store GC. The handshake pins [`SCHEMA_VERSION`] and the
+//! [`workloads_fingerprint`] of the engine's generator specs, so a
+//! quick-mode client talking to a full-mode daemon is a typed
+//! `ConfigMismatch` refusal, never silently different numbers.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
@@ -24,7 +25,7 @@ use confluence_store::{Decode, Encode, Tier};
 use confluence_trace::MemoStats;
 
 use crate::codec::{output_matches, workloads_fingerprint, SCHEMA_VERSION};
-use crate::engine::{EngineStats, SimEngine};
+use crate::engine::{panic_message, EngineStats, SimEngine};
 use crate::job::{Job, JobOutput};
 
 /// A [`SimEngine`] mounted behind the daemon protocol.
@@ -32,13 +33,6 @@ pub struct EngineHost {
     engine: SimEngine,
     fingerprint: u64,
     store_cap: Option<u64>,
-}
-
-/// Pre-batch accounting marks; [`BatchHost::finish_batch`] diffs them
-/// into the per-batch deltas a `BatchDone` frame carries.
-pub struct EngineSnapshot {
-    stats: EngineStats,
-    memo: MemoStats,
 }
 
 impl EngineHost {
@@ -64,11 +58,79 @@ impl EngineHost {
     pub fn fingerprint(&self) -> u64 {
         self.fingerprint
     }
+
+    /// Decodes one submitted payload into a job this engine serves.
+    fn decode(&self, payload: &[u8]) -> Result<Job, Rejection> {
+        let job = Job::from_bytes(payload).map_err(|e| {
+            Rejection::new(
+                ErrorCode::MalformedJob,
+                format!("job failed to decode: {e}"),
+            )
+        })?;
+        let workload = job.workload();
+        if !self.engine.workloads().iter().any(|(w, _)| *w == workload) {
+            return Err(Rejection::new(
+                ErrorCode::MalformedJob,
+                format!("daemon serves no workload {workload:?}"),
+            ));
+        }
+        Ok(job)
+    }
+
+    /// Settles a batch: end-of-batch maintenance, then the accounting
+    /// deltas against the pre-batch marks `before` and `memo_before`.
+    fn settle(&self, before: EngineStats, memo_before: MemoStats) -> BatchStats {
+        // Maintenance first — fresh artifacts on disk, then the cap —
+        // so the store line below reports post-GC occupancy.
+        let written = self.engine.persist_warm_artifacts();
+        if written > 0 {
+            eprintln!("confluence-serve: wrote {written} memo table(s) to the store");
+        }
+        if let (Some(store), Some(cap)) = (self.engine.store(), self.store_cap) {
+            let gc = store.evict_to_cap(cap);
+            if gc.evicted_entries > 0 {
+                eprintln!(
+                    "confluence-serve: store gc evicted {} entries ({} bytes) to fit {cap} bytes",
+                    gc.evicted_entries, gc.evicted_bytes
+                );
+            }
+        }
+        let stats = self.engine.stats();
+        let memo = self.engine.memo_stats();
+        BatchStats {
+            // Saturating: concurrent batches race these counters, and a
+            // neighbour's increment between our marks and theirs must
+            // never underflow a delta.
+            requests: stats.requests.saturating_sub(before.requests),
+            executed: stats.executed.saturating_sub(before.executed),
+            hits: stats.hits.saturating_sub(before.hits),
+            disk_hits: stats.disk_hits.saturating_sub(before.disk_hits),
+            memo_replayed: memo.replayed.saturating_sub(memo_before.replayed),
+            memo_recorded: memo.recorded.saturating_sub(memo_before.recorded),
+            memo_live: memo.live.saturating_sub(memo_before.live),
+            memo_tables: memo.tables as u64,
+            memo_steps: memo.steps as u64,
+            store: self.engine.store().map(|s| {
+                let usage = s.usage();
+                StoreLine {
+                    root: s.root().display().to_string(),
+                    schema: s.schema(),
+                    entries: usage.entries as u64,
+                    bytes: usage.bytes,
+                    artifacts: usage.artifacts as u64,
+                    artifact_bytes: usage.artifact_bytes,
+                }
+            }),
+            remote_hits: stats.remote_hits.saturating_sub(before.remote_hits),
+            remote_round_trips: stats
+                .remote_round_trips
+                .saturating_sub(before.remote_round_trips),
+            remote_bytes: stats.remote_bytes.saturating_sub(before.remote_bytes),
+        }
+    }
 }
 
 impl BatchHost for EngineHost {
-    type Snapshot = EngineSnapshot;
-
     fn schema(&self) -> u32 {
         SCHEMA_VERSION
     }
@@ -93,110 +155,30 @@ impl BatchHost for EngineHost {
         Ok(())
     }
 
-    fn threads(&self) -> usize {
-        self.engine.threads()
-    }
-
-    fn cost_hint(&self, job: &[u8]) -> u64 {
-        // Undecodable payloads rank anywhere; run_job rejects them with
-        // a proper typed error when their turn comes.
-        Job::from_bytes(job).map_or(0, |j| j.cost_hint())
-    }
-
-    fn run_job(&self, payload: &[u8]) -> Result<Vec<u8>, Rejection> {
-        let job = Job::from_bytes(payload).map_err(|e| {
-            Rejection::new(
-                ErrorCode::MalformedJob,
-                format!("job failed to decode: {e}"),
-            )
-        })?;
-        let workload = job.workload();
-        if !self.engine.workloads().iter().any(|(w, _)| *w == workload) {
-            return Err(Rejection::new(
-                ErrorCode::MalformedJob,
-                format!("daemon serves no workload {workload:?}"),
-            ));
-        }
+    fn run_batch(&self, payloads: &[Vec<u8>]) -> Result<(Vec<Vec<u8>>, BatchStats), Rejection> {
+        // Every payload decodes before any job runs: a malformed one
+        // fails the batch having cost no simulation.
+        let jobs = payloads
+            .iter()
+            .map(|payload| self.decode(payload))
+            .collect::<Result<Vec<Job>, Rejection>>()?;
+        let (before, memo_before) = (self.engine.stats(), self.engine.memo_stats());
         // A panicking job must stay a connection-scoped failure, not a
         // daemon crash. The engine's slot bookkeeping survives the
         // unwind (waiters on the key re-panic and land here too).
-        let output = catch_unwind(AssertUnwindSafe(|| self.engine.output(&job)))
-            .map_err(|_| Rejection::new(ErrorCode::JobFailed, format!("job {job:?} failed")))?;
-        Ok(output.to_bytes())
-    }
-
-    fn prepare_batch(&self, jobs: &[Vec<u8>]) {
-        // The batched remote pre-pass: decode what decodes (undecodable
-        // payloads earn their typed rejection in run_job) and fetch
-        // every local miss from the peers in one round trip. Called
-        // after `snapshot`, so the promotions land in this batch's
-        // remote-counter deltas.
-        let decoded: Vec<Job> = jobs
-            .iter()
-            .filter_map(|payload| Job::from_bytes(payload).ok())
-            .collect();
-        self.engine.prefetch_remote(&decoded);
+        let outputs =
+            catch_unwind(AssertUnwindSafe(|| self.engine.outputs(&jobs))).map_err(|panic| {
+                Rejection::new(
+                    ErrorCode::JobFailed,
+                    format!("batch failed: {}", panic_message(&*panic)),
+                )
+            })?;
+        let outputs = outputs.iter().map(|output| output.to_bytes()).collect();
+        Ok((outputs, self.settle(before, memo_before)))
     }
 
     fn fetch_batch(&self, tier: Tier, ttl: u32, keys: &[Vec<u8>]) -> Vec<Option<Vec<u8>>> {
         self.engine.fetch_remote_raw(tier, ttl, keys)
-    }
-
-    fn snapshot(&self) -> EngineSnapshot {
-        EngineSnapshot {
-            stats: self.engine.stats(),
-            memo: self.engine.memo_stats(),
-        }
-    }
-
-    fn finish_batch(&self, before: EngineSnapshot) -> BatchStats {
-        // Maintenance first — fresh artifacts on disk, then the cap —
-        // so the store line below reports post-GC occupancy.
-        let written = self.engine.persist_warm_artifacts();
-        if written > 0 {
-            eprintln!("confluence-serve: wrote {written} memo table(s) to the store");
-        }
-        if let (Some(store), Some(cap)) = (self.engine.store(), self.store_cap) {
-            let gc = store.evict_to_cap(cap);
-            if gc.evicted_entries > 0 {
-                eprintln!(
-                    "confluence-serve: store gc evicted {} entries ({} bytes) to fit {cap} bytes",
-                    gc.evicted_entries, gc.evicted_bytes
-                );
-            }
-        }
-        let stats = self.engine.stats();
-        let memo = self.engine.memo_stats();
-        BatchStats {
-            // Saturating: concurrent batches race these counters, and a
-            // neighbour's increment between our snapshot and theirs must
-            // never underflow a delta.
-            requests: stats.requests.saturating_sub(before.stats.requests),
-            executed: stats.executed.saturating_sub(before.stats.executed),
-            hits: stats.hits.saturating_sub(before.stats.hits),
-            disk_hits: stats.disk_hits.saturating_sub(before.stats.disk_hits),
-            memo_replayed: memo.replayed.saturating_sub(before.memo.replayed),
-            memo_recorded: memo.recorded.saturating_sub(before.memo.recorded),
-            memo_live: memo.live.saturating_sub(before.memo.live),
-            memo_tables: memo.tables as u64,
-            memo_steps: memo.steps as u64,
-            store: self.engine.store().map(|s| {
-                let usage = s.usage();
-                StoreLine {
-                    root: s.root().display().to_string(),
-                    schema: s.schema(),
-                    entries: usage.entries as u64,
-                    bytes: usage.bytes,
-                    artifacts: usage.artifacts as u64,
-                    artifact_bytes: usage.artifact_bytes,
-                }
-            }),
-            remote_hits: stats.remote_hits.saturating_sub(before.stats.remote_hits),
-            remote_round_trips: stats
-                .remote_round_trips
-                .saturating_sub(before.stats.remote_round_trips),
-            remote_bytes: stats.remote_bytes.saturating_sub(before.stats.remote_bytes),
-        }
     }
 }
 

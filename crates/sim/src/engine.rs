@@ -17,7 +17,9 @@
 //! first ([`Job::cost_hint`] — CMP timing runs dwarf everything else).
 //! Parallelism is across jobs only: each job runs start to finish on the
 //! one worker that claimed it, so a CMP timing run steps its cores on a
-//! single thread.
+//! single thread. One scheduler serves every batch: the in-process
+//! [`SimEngine::run`] and the daemon's [`SimEngine::outputs`], which
+//! also hands back each job's output in submission order.
 //!
 //! With a [`ResultStore`] attached ([`SimEngine::with_store`]) the cache
 //! grows a second, persistent tier: a claimed key consults **memory →
@@ -244,60 +246,91 @@ impl SimEngine {
     }
 
     /// Executes a batch of jobs on the worker pool. Duplicate keys within
-    /// the batch are collapsed first; keys already cached are hits. Returns
-    /// once every job's result is cached, so subsequent per-job accessors
-    /// are pure lookups.
+    /// the batch are collapsed first; keys already cached are skipped and
+    /// count no request. Returns once every job's result is cached, so
+    /// subsequent per-job accessors are pure lookups.
     pub fn run(&self, jobs: &[Job]) {
+        self.schedule(jobs);
+    }
+
+    /// Executes a batch like [`SimEngine::run`] and returns every job's
+    /// output, index-aligned with `jobs`. Each job counts as exactly one
+    /// request: the pool counts the keys it claims, and every other job
+    /// (cached before the batch, or a duplicate within it) is a memory
+    /// hit. The daemon's entry point.
+    pub fn outputs(&self, jobs: &[Job]) -> Vec<Arc<JobOutput>> {
+        let scheduled = self.schedule(jobs);
+        jobs.iter()
+            .zip(scheduled)
+            .map(|(job, output)| output.unwrap_or_else(|| self.fetch(job)))
+            .collect()
+    }
+
+    /// The one batch scheduler behind [`SimEngine::run`] and
+    /// [`SimEngine::outputs`]: the remote pre-pass, then the first
+    /// occurrence of every key not already cached, most expensive first,
+    /// on the worker pool. Returns, index-aligned with `jobs`, the output
+    /// of each job the pool fetched and `None` for the rest, which count
+    /// no request here.
+    fn schedule(&self, jobs: &[Job]) -> Vec<Option<Arc<JobOutput>>> {
         // Remote warm tier first, while the batch is still a batch: one
         // fetch round trip covers every local miss, after which the
         // per-job chain below finds the promoted entries on local disk.
         self.prefetch_remote(jobs);
-        let mut deduped: Vec<&Job> = Vec::with_capacity(jobs.len());
-        let mut seen = std::collections::HashSet::with_capacity(jobs.len());
-        for job in jobs {
-            if seen.insert(job) {
-                deduped.push(job);
-            }
-        }
-        // Drop jobs whose results are already cached — the warm path pays
-        // no worker spawn/join for what amounts to pure cache reads. Keys
-        // that are merely in flight stay in the batch so `run` still
-        // returns only once their results land.
-        let mut unique: Vec<&Job> = {
+        // Drop duplicates and keys whose results are already cached — the
+        // warm path pays no worker spawn/join for what amounts to pure
+        // cache reads. Keys that are merely in flight stay in the batch so
+        // it still returns only once their results land.
+        let mut claims: Vec<usize> = {
+            let mut seen = HashSet::with_capacity(jobs.len());
             let cache = self.cache.lock().expect("engine cache poisoned");
-            deduped
-                .into_iter()
-                .filter(|job| match cache.get(*job) {
-                    Some(slot) => slot.ready.lock().expect("slot poisoned").is_none(),
-                    None => true,
+            (0..jobs.len())
+                .filter(|&i| {
+                    seen.insert(&jobs[i])
+                        && cache
+                            .get(&jobs[i])
+                            .is_none_or(|slot| slot.ready.lock().expect("slot poisoned").is_none())
                 })
                 .collect()
         };
-        if unique.is_empty() {
-            return;
-        }
         // Most-expensive first: a CMP timing run started last would pin
         // the batch's tail to a single worker, while one started first
         // overlaps with the swarm of cheap coverage/density jobs. The sort
         // is stable, so equal-cost jobs keep their declaration order.
-        unique.sort_by_key(|job| std::cmp::Reverse(job.cost_hint()));
-        let workers = self.threads.min(unique.len()).max(1);
-        if workers == 1 {
-            for job in unique {
-                self.fetch(job);
+        claims.sort_by_key(|&i| std::cmp::Reverse(jobs[i].cost_hint()));
+        let mut scheduled = vec![None; jobs.len()];
+        let workers = self.threads.min(claims.len());
+        if workers <= 1 {
+            for i in claims {
+                scheduled[i] = Some(self.fetch(&jobs[i]));
             }
-            return;
+            return scheduled;
         }
         let next = AtomicUsize::new(0);
         std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(job) = unique.get(i) else { break };
-                    self.fetch(job);
-                });
+            let pool: Vec<_> = (0..workers)
+                .map(|_| {
+                    scope.spawn(|| {
+                        let mut done = Vec::new();
+                        while let Some(&i) = claims.get(next.fetch_add(1, Ordering::Relaxed)) {
+                            done.push((i, self.fetch(&jobs[i])));
+                        }
+                        done
+                    })
+                })
+                .collect();
+            for worker in pool {
+                // A panicking job fails the batch with its own payload
+                // once the other workers have drained the queue.
+                let done = worker
+                    .join()
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+                for (i, output) in done {
+                    scheduled[i] = Some(output);
+                }
             }
         });
+        scheduled
     }
 
     /// Result of a coverage job (computed now if absent).
@@ -318,9 +351,8 @@ impl SimEngine {
     }
 
     /// Result of any job by key (computed now if absent), shared straight
-    /// out of the cache. The daemon's entry point: one method serving
-    /// whatever an encoded request decodes to, with the same memoization
-    /// and in-flight dedup as the typed accessors.
+    /// out of the cache, with the same memoization and in-flight dedup as
+    /// the typed accessors.
     pub fn output(&self, job: &Job) -> Arc<JobOutput> {
         self.fetch(job)
     }
@@ -420,7 +452,7 @@ impl SimEngine {
     /// peers or without a store; any peer failure degrades to local
     /// simulation. Jobs whose workload this engine does not serve are
     /// skipped here and left to the per-job path's own error handling.
-    pub fn prefetch_remote(&self, jobs: &[Job]) {
+    fn prefetch_remote(&self, jobs: &[Job]) {
         let (Some(peers), Some(store)) = (&self.peers, &self.store) else {
             return;
         };
@@ -668,7 +700,7 @@ impl SimEngine {
 }
 
 /// Best-effort extraction of a panic payload's message.
-fn panic_message(panic: &(dyn std::any::Any + Send)) -> String {
+pub(crate) fn panic_message(panic: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = panic.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = panic.downcast_ref::<String>() {

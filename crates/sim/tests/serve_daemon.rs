@@ -321,6 +321,71 @@ fn malformed_traffic_gets_typed_errors_and_never_poisons() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// One undecodable payload fails its whole batch before any job runs:
+/// the client gets a typed `MalformedJob` and the daemon simulates
+/// nothing, even though every other payload in the batch is valid.
+#[test]
+fn malformed_payload_fails_the_batch_before_any_job_runs() {
+    let dir = scratch("malformed-batch");
+    let sock = dir.join("daemon.sock");
+    let (host, handle) = spawn_daemon(tiny_engine(), &sock, None);
+
+    let mut payloads: Vec<Vec<u8>> = tiny_jobs().iter().map(Encode::to_bytes).collect();
+    payloads.push(b"not a job".to_vec());
+    let mut client = Client::connect(&sock, SCHEMA_VERSION, host.fingerprint()).expect("handshake");
+    match client.submit(1, payloads) {
+        Err(ClientError::Daemon { code, .. }) => assert_eq!(code, ErrorCode::MalformedJob),
+        other => panic!("a bad payload must fail the batch typed, got {other:?}"),
+    }
+    assert_eq!(
+        host.engine().stats().executed,
+        0,
+        "no job may run before every payload decodes"
+    );
+
+    handle.stop().expect("clean shutdown");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A job that decodes but panics on the daemon is a typed `JobFailed`
+/// for its batch, and the daemon keeps serving honest clients
+/// byte-identical results afterwards.
+#[test]
+fn failing_job_is_a_typed_job_failed_and_never_poisons() {
+    let dir = scratch("job-failed");
+    let sock = dir.join("daemon.sock");
+    let (host, handle) = spawn_daemon(tiny_engine(), &sock, None);
+
+    // A zero-kilobyte L1-I passes the codec but not the cache geometry
+    // check, so the job panics inside the simulator.
+    let failing = Job::Coverage(CoverageJob {
+        workload: Workload::WebFrontend,
+        btb: BtbSpec::Baseline1k,
+        opts: CoverageOptions {
+            warmup_instrs: 5_000,
+            measure_instrs: 5_000,
+            l1i_kb: 0,
+            ..Default::default()
+        },
+    });
+    let mut payloads: Vec<Vec<u8>> = tiny_jobs().iter().map(Encode::to_bytes).collect();
+    payloads.push(failing.to_bytes());
+    let mut client = Client::connect(&sock, SCHEMA_VERSION, host.fingerprint()).expect("handshake");
+    match client.submit(1, payloads) {
+        Err(ClientError::Daemon { code, .. }) => assert_eq!(code, ErrorCode::JobFailed),
+        other => panic!("a panicking job must fail the batch typed, got {other:?}"),
+    }
+
+    let jobs = tiny_jobs();
+    let local = tiny_engine();
+    submit_jobs(&sock, &local, &jobs).expect("daemon survives a failed job");
+    let outputs: Vec<Vec<u8>> = jobs.iter().map(|j| local.output(j).to_bytes()).collect();
+    assert_eq!(outputs, reference_outputs(&jobs));
+
+    handle.stop().expect("clean shutdown");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// A result-store directory pre-warmed with every `tiny_jobs` result
 /// (and warm artifacts) by a plain in-process run.
 fn warmed_store(dir: &Path) -> PathBuf {
